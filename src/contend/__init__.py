@@ -24,7 +24,6 @@ from .geometry import (
     validate_geometry,
 )
 from .patterns import (
-    AccessEvent,
     BucketSort,
     PatternError,
     SharedWalk,
@@ -32,8 +31,6 @@ from .patterns import (
     StridedWalk,
     ThreadSpec,
     WorkloadSpec,
-    expand,
-    expand_thread,
     footprint,
     gen_bucket_sort,
     gen_offchip_antagonist,
@@ -58,8 +55,6 @@ from .simulator import (
     interference_report,
     lru_reference,
     simulate,
-    simulate_solo,
-    solo_baseline,
 )
 from .native import (
     NativeError,

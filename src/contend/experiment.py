@@ -70,7 +70,11 @@ class ExperimentConfig:
     native: NativeOptions = field(default_factory=NativeOptions)
 
 
-_SIM_FIELDS = {f.name for f in fields(SimConfig)} - {"geometry"}
+# every sim field but the geometry has a default of the field's exact type
+_SIM_TYPES = {f.name: type(f.default) for f in fields(SimConfig) if f.name != "geometry"}
+# generator fields that must be JSON integers (stride may also be null)
+_GENERATOR_INTS = {"threads", "array_bytes", "stride", "n_elems", "n_keys",
+                   "n_buckets", "iterations", "seed"}
 
 
 def _build_workload(d: dict, g: CacheGeometry) -> WorkloadSpec:
@@ -82,6 +86,15 @@ def _build_workload(d: dict, g: CacheGeometry) -> WorkloadSpec:
     args = dict(d)
     args.pop("generator")
     name_override = args.pop("name", None)
+    for key, value in args.items():
+        # bool is an int subclass, so compare exact types
+        if key in _GENERATOR_INTS and type(value) is not int and not (
+            key == "stride" and value is None
+        ):
+            raise ConfigError(
+                f"generator {kind!r} field {key!r} must be an integer, "
+                f"got {json.dumps(value)}"
+            )
     try:
         if kind == "offchip":
             w = gen_offchip_antagonist(
@@ -138,9 +151,13 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
     sim_over = d.get("sim", {})
     if not isinstance(sim_over, dict):
         raise ConfigError("sim section must be an object")
-    bad = set(sim_over) - _SIM_FIELDS
+    bad = sim_over.keys() - _SIM_TYPES
     if bad:
         raise ConfigError(f"unknown sim fields {sorted(bad)}")
+    for key, value in sim_over.items():
+        if type(value) is not _SIM_TYPES[key]:
+            raise ConfigError(f"sim field {key!r} must be {_SIM_TYPES[key].__name__}, "
+                              f"got {json.dumps(value)}")
     try:
         sim = SimConfig(geometry=g, **sim_over)
     except (TypeError, ValueError) as e:
@@ -220,7 +237,7 @@ def experiment_to_dict(cfg: ExperimentConfig) -> dict:
     return {
         "name": cfg.name,
         "geometry": geometry_to_dict(cfg.geometry),
-        "sim": {f: getattr(cfg.sim, f) for f in sorted(_SIM_FIELDS)},
+        "sim": {f: getattr(cfg.sim, f) for f in sorted(_SIM_TYPES)},
         "primary": workload_to_dict(cfg.primary),
         "secondaries": [workload_to_dict(s) for s in cfg.secondaries],
         "native": {

@@ -115,8 +115,84 @@ def bytes_per_pass(pattern, line_size: int = DEFAULT_LINE_SIZE) -> int:
     raise NativeError(f"unsupported pattern {type(pattern).__name__}")
 
 
-def events_per_pass(pattern) -> int:
-    return pattern.pass_length
+def _alloc_arena(n_bytes: int, hugepages: bool) -> np.ndarray:
+    """Words of a walked arena, first-touched with index-derived values."""
+    arr = _alloc_words(n_bytes // 8, hugepages)
+    arr[:] = np.arange(n_bytes // 8, dtype=np.int64) & 0xFFFF
+    return arr
+
+
+def _word_step(p) -> int:
+    if p.stride_bytes % 8 != 0:
+        raise NativeError(
+            f"native walks step in 8-byte words; stride {p.stride_bytes} "
+            "is not a multiple of 8"
+        )
+    return p.stride_bytes // 8
+
+
+# Each kernel allocates a pattern's state and returns its pass function, which
+# runs one full pass and returns a pass-invariant checksum.
+
+
+def _strided_kernel(p: StridedWalk, shared_arrays, hugepages):
+    step = _word_step(p)
+    view = _alloc_arena(p.arena_bytes, hugepages)[::step]
+    fill = np.arange(len(view), dtype=np.int64)
+    if p.op_mix == "read":
+        return lambda: int(view.sum())
+    summed = fill if p.op_mix == "write" else view
+
+    def write_pass():
+        view[:] = fill
+        return int(summed.sum())
+    return write_pass
+
+
+def _shared_kernel(p: SharedWalk, shared_arrays, hugepages):
+    lanes = shared_arrays[p.arena][:: _word_step(p)]
+    first = p.start_offset // p.stride_bytes
+    head, tail = lanes[first:], lanes[:first]
+    return lambda: int(head.sum()) + int(tail.sum())
+
+
+def _stream_kernel(p: StreamKernel, shared_arrays, hugepages):
+    n = p.n_elems
+    a, b, c = (_alloc_words(n, hugepages) for _ in range(3))
+    idx = np.arange(n, dtype=np.int64) & 0x3FF
+    a[:] = idx
+    b[:] = idx + 1
+    c[:] = idx + 2
+    dst, value = {"copy": (c, lambda: a), "scale": (b, lambda: 3 * c),
+                  "add": (c, lambda: a + b), "triad": (a, lambda: b + 3 * c)}[p.kind]
+
+    def stream_pass():
+        dst[:] = value()
+        return int(dst.sum())
+    return stream_pass
+
+
+def _bucket_kernel(p: BucketSort, shared_arrays, hugepages):
+    rng = np.random.Generator(np.random.PCG64(p.seed))
+    keys = rng.integers(0, 1 << 32, p.n_keys, dtype=np.uint64)
+    buckets = ((keys * p.n_buckets) >> 32).astype(np.intp)
+    out = np.zeros(p.n_keys, dtype=np.uint64)
+
+    def sort_pass():
+        counts = np.bincount(buckets, minlength=p.n_buckets)
+        starts = np.cumsum(counts) - counts
+        order = np.argsort(buckets, kind="stable")
+        out[:] = keys[order]
+        return int(out.sum() + starts.sum()) & 0xFFFFFFFFFFFFFFFF
+    return sort_pass
+
+
+_KERNELS = {
+    StridedWalk: _strided_kernel,
+    SharedWalk: _shared_kernel,
+    StreamKernel: _stream_kernel,
+    BucketSort: _bucket_kernel,
+}
 
 
 class _Runner:
@@ -128,69 +204,12 @@ class _Runner:
         self.hugepages = hugepages
 
     def setup(self):
-        p = self.pattern
-        if isinstance(p, (StridedWalk, SharedWalk)) and p.stride_bytes % 8 != 0:
-            raise NativeError(
-                f"native walks step in 8-byte words; stride {p.stride_bytes} "
-                "is not a multiple of 8"
-            )
-        if isinstance(p, StridedWalk):
-            words = p.arena_bytes // 8
-            self.arr = _alloc_words(words, self.hugepages)
-            self.arr[:] = np.arange(words, dtype=np.int64) & 0xFFFF
-            self.view = self.arr[:: p.stride_bytes // 8]
-            self.fill = np.arange(len(self.view), dtype=np.int64)
-        elif isinstance(p, SharedWalk):
-            arr = self.shared_arrays[p.arena]
-            step = p.stride_bytes // 8
-            lanes = arr[::step]
-            self.head = lanes[p.start_offset // p.stride_bytes :]
-            self.tail = lanes[: p.start_offset // p.stride_bytes]
-        elif isinstance(p, StreamKernel):
-            n = p.n_elems
-            self.a = _alloc_words(n, self.hugepages)
-            self.b = _alloc_words(n, self.hugepages)
-            self.c = _alloc_words(n, self.hugepages)
-            idx = np.arange(n, dtype=np.int64) & 0x3FF
-            self.a[:] = idx
-            self.b[:] = idx + 1
-            self.c[:] = idx + 2
-        else:  # BucketSort
-            rng = np.random.Generator(np.random.PCG64(p.seed))
-            self.keys = rng.integers(0, 1 << 32, p.n_keys, dtype=np.uint64)
-            self.buckets = ((self.keys * p.n_buckets) >> 32).astype(np.intp)
-            self.out = np.zeros(p.n_keys, dtype=np.uint64)
+        kernel = _KERNELS[type(self.pattern)]
+        self._pass = kernel(self.pattern, self.shared_arrays, self.hugepages)
 
     def run_pass(self) -> int:
         """One full pass; returns a pass-invariant checksum."""
-        p = self.pattern
-        if isinstance(p, StridedWalk):
-            if p.op_mix == "read":
-                return int(self.view.sum())
-            if p.op_mix == "write":
-                self.view[:] = self.fill
-                return int(self.fill.sum())
-            self.view[:] = self.fill
-            return int(self.view.sum())
-        if isinstance(p, SharedWalk):
-            return int(self.head.sum()) + int(self.tail.sum())
-        if isinstance(p, StreamKernel):
-            if p.kind == "copy":
-                self.c[:] = self.a
-                return int(self.c.sum())
-            if p.kind == "scale":
-                self.b[:] = 3 * self.c
-                return int(self.b.sum())
-            if p.kind == "add":
-                self.c[:] = self.a + self.b
-                return int(self.c.sum())
-            self.a[:] = self.b + 3 * self.c
-            return int(self.a.sum())
-        counts = np.bincount(self.buckets, minlength=p.n_buckets)
-        starts = np.cumsum(counts) - counts
-        order = np.argsort(self.buckets, kind="stable")
-        self.out[:] = self.keys[order]
-        return int(self.out.sum() + starts.sum()) & 0xFFFFFFFFFFFFFFFF
+        return self._pass()
 
 
 def _thread_main(idx, runner, cpu, duration, barrier, results, errors):
@@ -251,21 +270,12 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
         validate_workload(w)
     _check_cpu_hints(workloads)
 
-    shared: dict[int, dict[str, np.ndarray]] = {}
-    for wi, w in enumerate(workloads):
-        shared[wi] = {}
-        for arena_id in w.shared_arenas:
-            size = max(
-                (t.pattern.arena_bytes
-                 for t in w.threads
-                 if isinstance(t.pattern, SharedWalk) and t.pattern.arena == arena_id),
-                default=0,
-            )
-            if size == 0:
-                continue
-            arr = _alloc_words(size // 8, hugepages)
-            arr[:] = np.arange(size // 8, dtype=np.int64) & 0xFFFF
-            shared[wi][arena_id] = arr
+    shared = [
+        {arena_id: _alloc_arena(size, hugepages)
+         for arena_id in w.shared_arenas
+         if (size := w.shared_arena_bytes(arena_id)) > 0}
+        for w in workloads
+    ]
 
     jobs = []  # (workload idx, thread idx within workload, runner, cpu)
     for wi, w in enumerate(workloads):
@@ -383,7 +393,7 @@ def measure_stream(
     runner = _Runner(StreamKernel(kind, n_elems), {}, hugepages)
     runner.setup()
     runner.run_pass()  # warm-up
-    bpp = n_elems * STREAM_BYTES_PER_ELEM[kind]
+    bpp = bytes_per_pass(runner.pattern)
     best = 0.0
     for _ in range(repetitions):
         t0 = time.monotonic()

@@ -12,8 +12,8 @@ Workloads are built from four pattern kinds:
 * BucketSort    - a seeded bucket-sort memory model (read keys, count into
                   buckets, prefix pass, permuting writes).
 
-Expansion of a workload into per-thread AccessEvent sequences is lazy and
-bit-deterministic for fixed inputs.
+Each pattern's ops(base) is its lazy (op, address) stream for one thread
+whose arena starts at base; streams are bit-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import Iterator, NamedTuple, Union
+from itertools import chain, cycle, islice, repeat
+from typing import Iterator, Union
 
 from .geometry import CacheGeometry, bank_of, conflict_stride, set_of
 
@@ -33,18 +33,12 @@ READ = "r"
 WRITE = "w"
 
 STREAM_KINDS = ("copy", "scale", "add", "triad")
-OP_MIXES = ("read", "write", "readwrite")
+# op_mix -> the ops a walk cycles through, indexed by the global event count
+OP_MIXES = {"read": (READ,), "write": (WRITE,), "readwrite": (READ, WRITE)}
 
 
 class PatternError(ValueError):
     """Raised for inconsistent pattern or workload descriptions."""
-
-
-class AccessEvent(NamedTuple):
-    thread: int
-    seq: int
-    op: str          # "r" or "w"
-    addr: int        # byte address
 
 
 @dataclass(frozen=True)
@@ -52,6 +46,7 @@ class StridedWalk:
     arena_bytes: int
     stride_bytes: int
     op_mix: str = "read"
+    shared_arena = None      # private arena at its thread's arena_base
 
     def __post_init__(self):
         if self.stride_bytes <= 0 or self.arena_bytes <= 0:
@@ -61,7 +56,9 @@ class StridedWalk:
                 f"arena {self.arena_bytes} not a multiple of stride {self.stride_bytes}"
             )
         if self.op_mix not in OP_MIXES:
-            raise PatternError(f"op_mix must be one of {OP_MIXES}, got {self.op_mix!r}")
+            raise PatternError(
+                f"op_mix must be one of {tuple(OP_MIXES)}, got {self.op_mix!r}"
+            )
 
     @property
     def arena_span(self) -> int:
@@ -71,6 +68,11 @@ class StridedWalk:
     def pass_length(self) -> int:
         """Accesses in one full pass over the arena."""
         return self.arena_bytes // self.stride_bytes
+
+    def ops(self, base: int) -> Iterator[tuple[str, int]]:
+        """Endless passes; readwrite alternates ops across pass boundaries."""
+        addrs = range(base, base + self.arena_bytes, self.stride_bytes)
+        return zip(cycle(OP_MIXES[self.op_mix]), chain.from_iterable(repeat(addrs)))
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,11 @@ class SharedWalk:
             raise PatternError(f"start_offset {self.start_offset} not stride-aligned")
 
     @property
+    def shared_arena(self) -> str:
+        """Id of the workload arena walked; private patterns have None here."""
+        return self.arena
+
+    @property
     def arena_span(self) -> int:
         return 0  # lives in the workload's shared arena, not a private one
 
@@ -100,12 +107,20 @@ class SharedWalk:
     def pass_length(self) -> int:
         return self.arena_bytes // self.stride_bytes
 
+    def ops(self, base: int) -> Iterator[tuple[str, int]]:
+        """Endless reads from start_offset, wrapping to the arena start."""
+        end = base + self.arena_bytes
+        first = range(base + self.start_offset, end, self.stride_bytes)
+        rest = chain.from_iterable(repeat(range(base, end, self.stride_bytes)))
+        return zip(repeat(READ), chain(first, rest))
+
 
 @dataclass(frozen=True)
 class StreamKernel:
     kind: str
     n_elems: int
     elem_bytes: int = 8
+    shared_arena = None      # private arena at its thread's arena_base
 
     def __post_init__(self):
         if self.kind not in STREAM_KINDS:
@@ -128,6 +143,20 @@ class StreamKernel:
     def pass_length(self) -> int:
         return self.events_per_elem * self.n_elems
 
+    def ops(self, base: int) -> Iterator[tuple[str, int]]:
+        """Endless passes: per element, the source reads then the write."""
+        n, eb = self.n_elems, self.elem_bytes
+        if n == 0:
+            return
+        a, b, c = base, base + n * eb, base + 2 * n * eb
+        srcs, dst = {"copy": ((a,), c), "scale": ((c,), b),
+                     "add": ((a, b), c), "triad": ((b, c), a)}[self.kind]
+        while True:
+            for off in range(0, n * eb, eb):
+                for src in srcs:
+                    yield (READ, src + off)
+                yield (WRITE, dst + off)
+
 
 @dataclass(frozen=True)
 class BucketSort:
@@ -135,6 +164,7 @@ class BucketSort:
     n_buckets: int = 10
     iterations: int = 10
     seed: int = 0
+    shared_arena = None      # private arena at its thread's arena_base
 
     def __post_init__(self):
         if self.n_keys < 0:
@@ -153,6 +183,23 @@ class BucketSort:
     def pass_length(self) -> int:
         """Events in one iteration: read keys, count, prefix, permute."""
         return 4 * self.n_keys + self.n_buckets
+
+    def ops(self, base: int) -> Iterator[tuple[str, int]]:
+        """iterations repeats of one pass; keys are drawn once per stream."""
+        keys = _bucket_keys(self)
+        buckets, pos = _bucket_positions(self, keys)
+        cnt_base = base + 4 * self.n_keys
+        out_base = cnt_base + 4 * self.n_buckets
+        for _ in range(self.iterations):
+            for i in range(self.n_keys):
+                yield (READ, base + 4 * i)
+            for i in range(self.n_keys):
+                yield (WRITE, cnt_base + 4 * buckets[i])
+            for b in range(self.n_buckets):
+                yield (WRITE, cnt_base + 4 * b)
+            for i in range(self.n_keys):
+                yield (READ, base + 4 * i)
+                yield (WRITE, out_base + 4 * pos[i])
 
 
 Pattern = Union[StridedWalk, SharedWalk, StreamKernel, BucketSort]
@@ -174,21 +221,22 @@ class WorkloadSpec:
     def __post_init__(self):
         object.__setattr__(self, "threads", tuple(self.threads))
 
+    def shared_arena_bytes(self, arena_id: str) -> int:
+        """Size of a shared arena: its largest walk, 0 if no thread walks it."""
+        return max((t.pattern.arena_bytes for t in self.threads
+                    if t.pattern.shared_arena == arena_id), default=0)
+
+    def base_of(self, t: ThreadSpec) -> int:
+        """First byte of t's arena: its shared arena's base, else its own."""
+        arena = t.pattern.shared_arena
+        return t.arena_base if arena is None else self.shared_arenas[arena]
+
     def arena_intervals(self) -> list[tuple[int, int]]:
         """Half-open [base, end) byte ranges claimed by this workload."""
-        spans = []
-        for t in self.threads:
-            p = t.pattern
-            if isinstance(p, SharedWalk):
-                continue
-            if p.arena_span > 0:
-                spans.append((t.arena_base, t.arena_base + p.arena_span))
+        spans = [(t.arena_base, t.arena_base + span)
+                 for t in self.threads if (span := t.pattern.arena_span) > 0]
         for arena_id, base in self.shared_arenas.items():
-            size = max(
-                (t.pattern.arena_bytes for t in self.threads
-                 if isinstance(t.pattern, SharedWalk) and t.pattern.arena == arena_id),
-                default=0,
-            )
+            size = self.shared_arena_bytes(arena_id)
             if size > 0:
                 spans.append((base, base + size))
         return spans
@@ -199,24 +247,22 @@ class WorkloadSpec:
 
 def validate_workload(w: WorkloadSpec, line_size: int = 64) -> WorkloadSpec:
     """Check arena alignment, disjointness, and shared-arena references."""
+    sizes = {arena_id: w.shared_arena_bytes(arena_id) for arena_id in w.shared_arenas}
     for i, t in enumerate(w.threads):
-        p = t.pattern
-        if isinstance(p, SharedWalk):
-            if p.arena not in w.shared_arenas:
+        arena = t.pattern.shared_arena
+        if arena is None:
+            if t.arena_base % line_size != 0:
                 raise PatternError(
-                    f"{w.name}: thread {i} references unknown shared arena {p.arena!r}"
+                    f"{w.name}: thread {i} arena base {t.arena_base:#x} not line-aligned"
                 )
-            sizes = {
-                q.pattern.arena_bytes for q in w.threads
-                if isinstance(q.pattern, SharedWalk) and q.pattern.arena == p.arena
-            }
-            if len(sizes) != 1:
-                raise PatternError(
-                    f"{w.name}: shared arena {p.arena!r} has inconsistent sizes {sizes}"
-                )
-        elif t.arena_base % line_size != 0:
+        elif arena not in sizes:
             raise PatternError(
-                f"{w.name}: thread {i} arena base {t.arena_base:#x} not line-aligned"
+                f"{w.name}: thread {i} references unknown shared arena {arena!r}"
+            )
+        elif t.pattern.arena_bytes != sizes[arena]:
+            raise PatternError(
+                f"{w.name}: thread {i} walks {t.pattern.arena_bytes} bytes of shared "
+                f"arena {arena!r}, another thread {sizes[arena]}"
             )
     for _, base in w.shared_arenas.items():
         if base % line_size != 0:
@@ -357,13 +403,13 @@ def with_pinning(w: WorkloadSpec, cpus) -> WorkloadSpec:
 
 def relocate(w: WorkloadSpec, new_base: int) -> WorkloadSpec:
     """Shift every arena so the lowest base lands on new_base."""
-    bases = [t.arena_base for t in w.threads if not isinstance(t.pattern, SharedWalk)]
+    bases = [t.arena_base for t in w.threads if t.pattern.shared_arena is None]
     bases += list(w.shared_arenas.values())
     if not bases:
         return w
     delta = new_base - min(bases)
     threads = tuple(
-        t if isinstance(t.pattern, SharedWalk) else replace(t, arena_base=t.arena_base + delta)
+        replace(t, arena_base=t.arena_base + delta) if t.pattern.shared_arena is None else t
         for t in w.threads
     )
     arenas = {k: v + delta for k, v in w.shared_arenas.items()}
@@ -411,98 +457,12 @@ def _bucket_positions(p: BucketSort, keys: array) -> tuple[array, array]:
     return buckets, pos
 
 
-def _expand_pattern(p: Pattern, base: int) -> Iterator[tuple[str, int]]:
-    """Infinite (finite for BucketSort) stream of (op, addr) for one thread."""
-    if isinstance(p, StridedWalk):
-        n = p.pass_length
-        j = p.stride_bytes
-        mix = p.op_mix
-        k = 0
-        while True:
-            addr = base + (k % n) * j
-            if mix == "read":
-                yield (READ, addr)
-            elif mix == "write":
-                yield (WRITE, addr)
-            else:
-                yield (READ if k % 2 == 0 else WRITE, addr)
-            k += 1
-    elif isinstance(p, SharedWalk):
-        n = p.pass_length
-        j = p.stride_bytes
-        first = p.start_offset // j
-        k = 0
-        while True:
-            yield (READ, base + ((first + k) % n) * j)
-            k += 1
-    elif isinstance(p, StreamKernel):
-        n = p.n_elems
-        if n == 0:
-            return
-        eb = p.elem_bytes
-        a, b, c = base, base + n * eb, base + 2 * n * eb
-        kind = p.kind
-        while True:
-            for i in range(n):
-                off = i * eb
-                if kind == "copy":
-                    yield (READ, a + off)
-                    yield (WRITE, c + off)
-                elif kind == "scale":
-                    yield (READ, c + off)
-                    yield (WRITE, b + off)
-                elif kind == "add":
-                    yield (READ, a + off)
-                    yield (READ, b + off)
-                    yield (WRITE, c + off)
-                else:  # triad
-                    yield (READ, b + off)
-                    yield (READ, c + off)
-                    yield (WRITE, a + off)
-    else:  # BucketSort
-        keys = _bucket_keys(p)
-        buckets, pos = _bucket_positions(p, keys)
-        keys_base = base
-        cnt_base = base + 4 * p.n_keys
-        out_base = cnt_base + 4 * p.n_buckets
-        for _ in range(p.iterations):
-            for i in range(p.n_keys):
-                yield (READ, keys_base + 4 * i)
-            for i in range(p.n_keys):
-                yield (WRITE, cnt_base + 4 * buckets[i])
-            for b in range(p.n_buckets):
-                yield (WRITE, cnt_base + 4 * b)
-            for i in range(p.n_keys):
-                yield (READ, keys_base + 4 * i)
-                yield (WRITE, out_base + 4 * pos[i])
-
-
 def iter_ops(w: WorkloadSpec, thread_idx: int, limit: int) -> Iterator[tuple[str, int]]:
-    """At most limit raw (op, address) pairs for one thread.
-
-    Same stream as expand_thread without the per-event wrapper; the
-    simulator's hot loop runs on this form.
-    """
+    """At most limit (op, address) pairs for one thread, lazily."""
     if limit < 0:
         raise PatternError("limit must be >= 0")
     t = w.threads[thread_idx]
-    base = (
-        w.shared_arenas[t.pattern.arena]
-        if isinstance(t.pattern, SharedWalk)
-        else t.arena_base
-    )
-    return islice(_expand_pattern(t.pattern, base), limit)
-
-
-def expand_thread(w: WorkloadSpec, thread_idx: int, limit: int) -> Iterator[AccessEvent]:
-    """At most limit AccessEvents for one thread, deterministically."""
-    for seq, (op, addr) in enumerate(iter_ops(w, thread_idx, limit)):
-        yield AccessEvent(thread_idx, seq, op, addr)
-
-
-def expand(w: WorkloadSpec, per_thread_limit: int) -> list[Iterator[AccessEvent]]:
-    """Lazy per-thread event streams, each capped at per_thread_limit."""
-    return [expand_thread(w, i, per_thread_limit) for i in range(len(w.threads))]
+    return islice(t.pattern.ops(w.base_of(t)), limit)
 
 
 def footprint(w: WorkloadSpec, g: CacheGeometry) -> int:
@@ -510,8 +470,8 @@ def footprint(w: WorkloadSpec, g: CacheGeometry) -> int:
     validate_workload(w, g.line_size)
     pairs = set()
     for i, t in enumerate(w.threads):
-        for ev in expand_thread(w, i, t.pattern.pass_length):
-            pairs.add((bank_of(ev.addr, g), set_of(ev.addr, g)))
+        for _, addr in iter_ops(w, i, t.pattern.pass_length):
+            pairs.add((bank_of(addr, g), set_of(addr, g)))
     return len(pairs)
 
 
@@ -575,5 +535,5 @@ def write_trace_csv(w: WorkloadSpec, per_thread_limit: int, fh) -> None:
     """Emit the expanded trace as CSV: thread,seq,op,address (hex address)."""
     fh.write("thread,seq,op,address\n")
     for i in range(len(w.threads)):
-        for ev in expand_thread(w, i, per_thread_limit):
-            fh.write(f"{ev.thread},{ev.seq},{ev.op},0x{ev.addr:x}\n")
+        for seq, (op, addr) in enumerate(iter_ops(w, i, per_thread_limit)):
+            fh.write(f"{i},{seq},{op},0x{addr:x}\n")

@@ -268,16 +268,6 @@ def simulate(
     return _build_result(workloads, cfg, raw, solo_elapsed)
 
 
-def simulate_solo(w: WorkloadSpec, cfg: SimConfig) -> SimResult:
-    """Baseline run of a single workload; normalized performance is 1.0."""
-    return simulate([w], cfg)
-
-
-def solo_baseline(w: WorkloadSpec, cfg: SimConfig) -> int:
-    """Solo elapsed_cycles of w, for reuse as a simulate() baseline."""
-    return _run([w], cfg)["finish"][0]
-
-
 @dataclass(frozen=True)
 class InterferenceRow:
     secondary: str                      # "idle" or the secondary's name
@@ -299,7 +289,7 @@ def interference_report(
     names = [s.name for s in secondaries]
     if len(set(names)) != len(names) or primary.name in names:
         raise SimulationError("secondary names must be unique and differ from the primary")
-    solo = simulate_solo(primary, cfg)
+    solo = simulate([primary], cfg)
     baselines = {primary.name: solo.metrics(primary.name).elapsed_cycles}
     rows = [InterferenceRow("idle", solo.metrics(primary.name), None)]
     for s in secondaries:
@@ -313,17 +303,13 @@ def interference_report(
 def lru_reference(trace, g: CacheGeometry) -> list[bool]:
     """Brute-force per-set recency-list LRU oracle; True means hit.
 
-    Accepts (op, addr) pairs or AccessEvents.  Kept deliberately naive and
-    independent of LruBankedCache: plain lists searched linearly.
+    Takes (op, addr) pairs.  Kept deliberately naive and independent of
+    LruBankedCache: plain lists searched linearly.
     """
     validate_geometry(g)
     recency: dict[tuple[int, int], list[int]] = {}
     labels = []
-    for ev in trace:
-        if isinstance(ev, tuple) and len(ev) == 2:
-            _, addr = ev
-        else:
-            addr = ev.addr
+    for _, addr in trace:
         key = (bank_of(addr, g), set_of(addr, g))
         line = addr // g.line_size
         lst = recency.setdefault(key, [])

@@ -25,10 +25,10 @@ from contend.patterns import (
     StridedWalk,
     ThreadSpec,
     WorkloadSpec,
-    expand_thread,
     gen_offchip_antagonist,
     gen_onchip_antagonist,
     gen_stream,
+    iter_ops,
     with_pinning,
 )
 from contend.simulator import (
@@ -37,10 +37,10 @@ from contend.simulator import (
     interference_report,
     lru_reference,
     simulate,
-    simulate_solo,
 )
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 BUNDLED = sorted(f for f in os.listdir(CONFIGS) if f.endswith(".json"))
 
 
@@ -102,9 +102,9 @@ def test_onchip_coverage_exact():
     deviations = 0
     for ti, t in enumerate(w.threads):
         lines_per_pair = {}
-        for ev in expand_thread(w, ti, t.pattern.pass_length):
-            pair = (bank_of(ev.addr, g), set_of(ev.addr, g))
-            lines_per_pair.setdefault(pair, set()).add(ev.addr // g.line_size)
+        for _, addr in iter_ops(w, ti, t.pattern.pass_length):
+            pair = (bank_of(addr, g), set_of(addr, g))
+            lines_per_pair.setdefault(pair, set()).add(addr // g.line_size)
         if len(lines_per_pair) != g.num_banks * g.sets_per_bank:
             deviations += 1
         deviations += sum(
@@ -149,8 +149,8 @@ def test_lru_matches_reference():
         budget = r2.randrange(500, 5_000)
         cfg = SimConfig(geometry=g, mc_service_interval=r2.randrange(1, 20),
                         per_thread_event_budget=budget, record_hit_miss=True)
-        res = simulate_solo(w, cfg)
-        trace = [(e.op, e.addr) for e in expand_thread(w, 0, budget)]
+        res = simulate([w], cfg)
+        trace = list(iter_ops(w, 0, budget))
         assert res.hit_miss["w"][0] == lru_reference(trace, g)
         traces += 1
     _verdict("lru-oracle", True, f"{traces} traces, all hit/miss sequences identical")
@@ -238,11 +238,13 @@ def test_sim_runs_are_byte_identical(tmp_path):
         a = (out1 / f"{stem}_sim.csv").read_bytes()
         b = (out2 / f"{stem}_sim.csv").read_bytes()
         assert a == b, f"{fname} differs between runs"
+        with open(os.path.join(GOLDEN, f"{stem}_sim.csv"), "rb") as fh:
+            assert a == fh.read(), f"{fname} differs from its golden CSV"
         compared.append(fname)
     _verdict(
         "sim-determinism",
         len(compared) == len(BUNDLED) and len(compared) >= 1,
-        f"{len(compared)} bundled configs, all byte-identical twice",
+        f"{len(compared)} bundled configs, all byte-identical twice and to tests/golden",
     )
 
 

@@ -223,6 +223,21 @@ def test_duplicate_secondaries_config_exits_2(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"secondaries": [{"generator": "offchip", "array_bytes": 4096.0}]},
+     "generator 'offchip' field 'array_bytes' must be an integer, got 4096.0"),
+    ({"secondaries": [{"generator": "onchip", "threads": "2"}]},
+     "generator 'onchip' field 'threads' must be an integer, got \"2\""),
+    ({"sim": {"hit_latency": True}},
+     "sim field 'hit_latency' must be int, got true"),
+])
+def test_mistyped_config_field_exits_2(tmp_path, capsys, override, message):
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps(toy_config_dict(**override)))
+    assert main(["sim", str(p)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_emit_config_round_trip(tmp_path, capsys):
     assert main(["emit-config", TOY_DEMO]) == 0
     emitted = json.loads(capsys.readouterr().out)

@@ -12,13 +12,13 @@ from contend.patterns import (
     StridedWalk,
     ThreadSpec,
     WorkloadSpec,
-    expand_thread,
     footprint,
     gen_bucket_sort,
     gen_offchip_antagonist,
     gen_onchip_antagonist,
     gen_stream,
     gen_xeon_samedie_antagonist,
+    iter_ops,
     pack,
     relocate,
     validate_workload,
@@ -91,8 +91,8 @@ def test_offchip_hits_single_bank_and_set():
     w = gen_offchip_antagonist(g, 3)
     pairs = set()
     for i in range(3):
-        for ev in expand_thread(w, i, w.threads[i].pattern.pass_length):
-            pairs.add((bank_of(ev.addr, g), set_of(ev.addr, g)))
+        for _, addr in iter_ops(w, i, w.threads[i].pattern.pass_length):
+            pairs.add((bank_of(addr, g), set_of(addr, g)))
     assert pairs == {(0, 0)}
     assert footprint(w, g) == 1
 
@@ -108,7 +108,7 @@ def test_offchip_strict_stride_check():
 def test_offchip_op_mix():
     g = preset("toy")
     w = gen_offchip_antagonist(g, 1, array_bytes=4096, op_mix="write")
-    ops = {ev.op for ev in expand_thread(w, 0, 8)}
+    ops = {op for op, _ in iter_ops(w, 0, 8)}
     assert ops == {"w"}
 
 
@@ -149,24 +149,24 @@ def test_sweep_antagonist():
 
 def test_stream_trace_copy_frozen():
     w = gen_stream("copy", 4)
-    evs = [(e.op, e.addr) for e in expand_thread(w, 0, 8)]
+    evs = list(iter_ops(w, 0, 8))
     assert evs == [("r", 0), ("w", 64), ("r", 8), ("w", 72),
                    ("r", 16), ("w", 80), ("r", 24), ("w", 88)]
 
 
 def test_stream_trace_other_kinds_frozen():
-    evs = [(e.op, e.addr) for e in expand_thread(gen_stream("triad", 2), 0, 6)]
+    evs = list(iter_ops(gen_stream("triad", 2), 0, 6))
     assert evs == [("r", 16), ("r", 32), ("w", 0), ("r", 24), ("r", 40), ("w", 8)]
-    evs = [(e.op, e.addr) for e in expand_thread(gen_stream("scale", 2), 0, 4)]
+    evs = list(iter_ops(gen_stream("scale", 2), 0, 4))
     assert evs == [("r", 32), ("w", 16), ("r", 40), ("w", 24)]
-    evs = [(e.op, e.addr) for e in expand_thread(gen_stream("add", 2), 0, 6)]
+    evs = list(iter_ops(gen_stream("add", 2), 0, 6))
     assert evs == [("r", 0), ("r", 16), ("w", 32), ("r", 8), ("r", 24), ("w", 40)]
 
 
 def test_stream_wraps_to_next_pass():
     # arrays a, b, c back to back: a at 0, b at 16, c at 32
     w = gen_stream("copy", 2)
-    evs = [(e.op, e.addr) for e in expand_thread(w, 0, 6)]
+    evs = list(iter_ops(w, 0, 6))
     assert evs[:4] == [("r", 0), ("w", 32), ("r", 8), ("w", 40)]
     assert evs[4:] == [("r", 0), ("w", 32)]      # second pass restarts
 
@@ -201,25 +201,25 @@ def _reference_bucket_trace(n_keys, n_buckets, seed, base=0):
 
 def test_bucket_sort_matches_reference():
     w = gen_bucket_sort(4, 2, iterations=1, seed=3)
-    got = [(e.op, e.addr) for e in expand_thread(w, 0, 18)]
+    got = list(iter_ops(w, 0, 18))
     assert got == _reference_bucket_trace(4, 2, 3)
     w = gen_bucket_sort(37, 5, iterations=1, seed=11)
     n = 4 * 37 + 5
-    got = [(e.op, e.addr) for e in expand_thread(w, 0, n)]
+    got = list(iter_ops(w, 0, n))
     assert got == _reference_bucket_trace(37, 5, 11)
 
 
 def test_bucket_sort_seed_determinism():
-    a = [(e.op, e.addr) for e in expand_thread(gen_bucket_sort(64, 8, seed=5), 0, 500)]
-    b = [(e.op, e.addr) for e in expand_thread(gen_bucket_sort(64, 8, seed=5), 0, 500)]
-    c = [(e.op, e.addr) for e in expand_thread(gen_bucket_sort(64, 8, seed=6), 0, 500)]
+    a = list(iter_ops(gen_bucket_sort(64, 8, seed=5), 0, 500))
+    b = list(iter_ops(gen_bucket_sort(64, 8, seed=5), 0, 500))
+    c = list(iter_ops(gen_bucket_sort(64, 8, seed=6), 0, 500))
     assert a == b
     assert a != c
 
 
 def test_bucket_sort_iterations_repeat_trace():
-    one = [(e.op, e.addr) for e in expand_thread(gen_bucket_sort(8, 2, iterations=1, seed=1), 0, 10_000)]
-    two = [(e.op, e.addr) for e in expand_thread(gen_bucket_sort(8, 2, iterations=2, seed=1), 0, 10_000)]
+    one = list(iter_ops(gen_bucket_sort(8, 2, iterations=1, seed=1), 0, 10_000))
+    two = list(iter_ops(gen_bucket_sort(8, 2, iterations=2, seed=1), 0, 10_000))
     assert two == one * 2
     # a finite pattern stops by itself below the limit
     assert len(one) == 4 * 8 + 2
@@ -231,7 +231,7 @@ def test_bucket_sort_iterations_repeat_trace():
 
 def test_strided_walk_wraps():
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(1024, 256)),))
-    addrs = [e.addr for e in expand_thread(w, 0, 5)]
+    addrs = [a for _, a in iter_ops(w, 0, 5)]
     assert addrs == [0, 256, 512, 768, 0]
 
 
@@ -241,8 +241,20 @@ def test_shared_walk_wraps_from_offset():
         (ThreadSpec(SharedWalk("s", 4096, 64, 4032)),),
         shared_arenas={"s": 0},
     )
-    addrs = [e.addr for e in expand_thread(w, 0, 3)]
+    addrs = [a for _, a in iter_ops(w, 0, 3)]
     assert addrs == [4032, 0, 64]
+
+
+@pytest.mark.parametrize("w, limit, want", [
+    # readwrite takes its op from the global event index: with an odd pass
+    # length the ops flip at every pass boundary
+    (WorkloadSpec("w", (ThreadSpec(StridedWalk(192, 64, "readwrite")),)), 7,
+     [("r", 0), ("w", 64), ("r", 128), ("w", 0), ("r", 64), ("w", 128), ("r", 0)]),
+    (WorkloadSpec("w", (ThreadSpec(SharedWalk("s", 256, 64, 128)),), {"s": 1024}), 5,
+     [("r", 1152), ("r", 1216), ("r", 1024), ("r", 1088), ("r", 1152)]),
+])
+def test_walk_stream_frozen(w, limit, want):
+    assert list(iter_ops(w, 0, limit)) == want
 
 
 def test_shared_walk_uses_arena_base():
@@ -251,14 +263,8 @@ def test_shared_walk_uses_arena_base():
         (ThreadSpec(SharedWalk("s", 4096, 64, 0)),),
         shared_arenas={"s": 1 << 20},
     )
-    addrs = [e.addr for e in expand_thread(w, 0, 2)]
+    addrs = [a for _, a in iter_ops(w, 0, 2)]
     assert addrs == [1 << 20, (1 << 20) + 64]
-
-
-def test_event_fields():
-    w = gen_stream("copy", 4)
-    evs = list(expand_thread(w, 0, 3))
-    assert [(e.thread, e.seq) for e in evs] == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_footprint_empty_workload():
@@ -304,8 +310,8 @@ def test_relocate_preserves_mapping_at_stride_multiples():
     g = preset("t1")
     w = gen_offchip_antagonist(g, 2)
     moved = relocate(w, 8 * conflict_stride(g))
-    orig = [(bank_of(e.addr, g), set_of(e.addr, g)) for e in expand_thread(w, 0, 8)]
-    got = [(bank_of(e.addr, g), set_of(e.addr, g)) for e in expand_thread(moved, 0, 8)]
+    orig = [(bank_of(a, g), set_of(a, g)) for _, a in iter_ops(w, 0, 8)]
+    got = [(bank_of(a, g), set_of(a, g)) for _, a in iter_ops(moved, 0, 8)]
     assert got == orig
     assert moved.threads[0].arena_base == 8 * conflict_stride(g)
 
@@ -314,7 +320,7 @@ def test_relocate_shifts_shared_arenas():
     w = gen_onchip_antagonist(preset("toy"), 2)
     moved = relocate(w, 4096)
     assert moved.shared_arenas == {"shared": 4096}
-    assert [e.addr for e in expand_thread(moved, 0, 1)] == [4096]
+    assert [a for _, a in iter_ops(moved, 0, 1)] == [4096]
 
 
 def test_pack_disjoint_and_aligned():
@@ -367,3 +373,16 @@ def test_trace_csv_format():
     assert lines[1] == "0,0,r,0x0"
     assert lines[2] == "0,1,w,0x20"
     assert len(lines) == 5
+
+
+def test_event_fields():
+    # the thread and seq columns of a trace: seq counts events per thread,
+    # restarting at 0 for every thread
+    buf = io.StringIO()
+    write_trace_csv(gen_stream("copy", 4), 3, buf)
+    rows = [line.split(",")[:2] for line in buf.getvalue().splitlines()[1:]]
+    assert rows == [["0", "0"], ["0", "1"], ["0", "2"]]
+    buf = io.StringIO()
+    write_trace_csv(gen_offchip_antagonist(preset("toy"), 2, array_bytes=2048), 2, buf)
+    rows = [line.split(",")[:2] for line in buf.getvalue().splitlines()[1:]]
+    assert rows == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]

@@ -8,10 +8,10 @@ from contend.patterns import (
     StridedWalk,
     ThreadSpec,
     WorkloadSpec,
-    expand_thread,
     gen_offchip_antagonist,
     gen_onchip_antagonist,
     gen_stream,
+    iter_ops,
     relocate,
 )
 from contend.simulator import (
@@ -22,8 +22,6 @@ from contend.simulator import (
     interference_report,
     lru_reference,
     simulate,
-    simulate_solo,
-    solo_baseline,
 )
 
 TOY = preset("toy")
@@ -92,12 +90,6 @@ def test_lru_reference_matches_engine_on_random_traces():
         assert got == lru_reference(trace, TOY)
 
 
-def test_lru_reference_accepts_events():
-    w = gen_stream("copy", 8)
-    evs = list(expand_thread(w, 0, 32))
-    assert lru_reference(evs, TOY) == lru_reference([(e.op, e.addr) for e in evs], TOY)
-
-
 # ---------------------------------------------------------------------------
 # counters and conservation
 
@@ -105,7 +97,7 @@ def test_lru_reference_accepts_events():
 def test_second_pass_all_hits():
     # copy over 16 elems: a and c span 4 toy lines each; 8 compulsory misses
     w = gen_stream("copy", 16)
-    res = simulate_solo(w, toy_cfg(per_thread_event_budget=64))
+    res = simulate([w], toy_cfg(per_thread_event_budget=64))
     m = res.metrics("stream.copy")
     assert (m.accesses, m.misses, m.hits) == (64, 8, 56)
     assert m.mpka == 125.0
@@ -144,9 +136,9 @@ def test_conservation_and_ceiling_randomized():
 def test_writeback_slot_accounting():
     # write-thrash one set so dirty evictions occur
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(8192, 1024, op_mix="write")),))
-    with_wb = simulate_solo(w, toy_cfg(per_thread_event_budget=100)).metrics("w")
-    no_wb = simulate_solo(
-        w, toy_cfg(per_thread_event_budget=100, writeback_counts_as_slot=False)
+    with_wb = simulate([w], toy_cfg(per_thread_event_budget=100)).metrics("w")
+    no_wb = simulate(
+        [w], toy_cfg(per_thread_event_budget=100, writeback_counts_as_slot=False)
     ).metrics("w")
     assert with_wb.lines_written_back > 0
     assert with_wb.lines_written_back == no_wb.lines_written_back
@@ -157,7 +149,7 @@ def test_writeback_slot_accounting():
 def test_streaming_workload_misses_every_line():
     # arrays larger than the whole cache, walked cyclically: no reuse survives
     w = gen_stream("copy", 1024)         # 16 KiB of arrays vs 4 KiB cache
-    m = simulate_solo(w, toy_cfg(per_thread_event_budget=8192)).metrics("stream.copy")
+    m = simulate([w], toy_cfg(per_thread_event_budget=8192)).metrics("stream.copy")
     assert m.misses == 8192 // 4         # one miss per 4 accesses to a line
     assert m.hits == 8192 - 2048
 
@@ -170,7 +162,7 @@ def test_miss_latency_dominates_elapsed():
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(8192, 1024)),))  # 8 lines, 4 ways
     cfg = toy_cfg(hit_latency=3, mem_latency=100, mc_service_interval=1,
                   per_thread_event_budget=80)
-    m = simulate_solo(w, cfg).metrics("w")
+    m = simulate([w], cfg).metrics("w")
     assert m.misses == 80
     assert m.elapsed_cycles == 80 * 100   # back-to-back misses, no queueing
 
@@ -179,7 +171,7 @@ def test_hit_latency_only_when_resident():
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(1024, 256)),))   # 4 lines, fits
     cfg = toy_cfg(hit_latency=3, mem_latency=100, mc_service_interval=1,
                   per_thread_event_budget=100)
-    m = simulate_solo(w, cfg).metrics("w")
+    m = simulate([w], cfg).metrics("w")
     assert m.misses == 4
     assert m.elapsed_cycles == 4 * 100 + 96 * 3
 
@@ -192,7 +184,7 @@ def test_mc_serializes_concurrent_misses():
     ))
     cfg = toy_cfg(hit_latency=1, mem_latency=40, mc_service_interval=50,
                   per_thread_event_budget=20)
-    res = simulate_solo(w, cfg)
+    res = simulate([w], cfg)
     # 40 misses through one controller: last dequeue at >= 39 * 50
     assert res.elapsed_cycles >= 39 * 50
     assert res.mc_serviced_lines == 40
@@ -203,8 +195,8 @@ def test_single_thread_timing_does_not_change_hits():
     for interval in (1, 7, 33):
         cfg = toy_cfg(mc_service_interval=interval, per_thread_event_budget=1000,
                       record_hit_miss=True)
-        res = simulate_solo(w, cfg)
-        trace = [(e.op, e.addr) for e in expand_thread(w, 0, 1000)]
+        res = simulate([w], cfg)
+        trace = list(iter_ops(w, 0, 1000))
         assert res.hit_miss["stream.triad"][0] == lru_reference(trace, TOY)
 
 
@@ -213,7 +205,7 @@ def test_single_thread_timing_does_not_change_hits():
 
 
 def test_solo_normalized_is_exactly_one():
-    res = simulate_solo(gen_stream("add", 32), toy_cfg(per_thread_event_budget=500))
+    res = simulate([gen_stream("add", 32)], toy_cfg(per_thread_event_budget=500))
     assert res.metrics("stream.add").normalized_performance == 1.0
 
 
@@ -224,7 +216,7 @@ def test_corun_slows_victim():
     res = simulate([v, off], cfg)
     m = res.metrics("stream.triad")
     assert m.normalized_performance < 1.0
-    solo = simulate_solo(v, cfg).metrics("stream.triad")
+    solo = simulate([v], cfg).metrics("stream.triad")
     assert m.misses >= solo.misses
     assert m.elapsed_cycles > solo.elapsed_cycles
 
@@ -234,7 +226,7 @@ def test_normalized_uses_equal_budget_baseline():
     off = relocate(gen_offchip_antagonist(TOY, 2, array_bytes=4096), 8192)
     cfg = toy_cfg(per_thread_event_budget=1200)
     res = simulate([v, off], cfg)
-    base = solo_baseline(v, cfg)
+    base = simulate([v], cfg).metrics("stream.triad").elapsed_cycles
     m = res.metrics("stream.triad")
     assert m.normalized_performance == base / m.elapsed_cycles
 
@@ -257,7 +249,7 @@ def test_onchip_pollution_adds_victim_misses():
     on = relocate(gen_onchip_antagonist(TOY, 2), 8192)
     cfg = toy_cfg(hit_latency=3, mem_latency=20, mc_service_interval=2,
                   per_thread_event_budget=4000)
-    solo = simulate_solo(v, cfg).metrics("victim")
+    solo = simulate([v], cfg).metrics("victim")
     polluted = simulate([v, on], cfg).metrics("victim")
     assert polluted.misses > solo.misses
     assert polluted.normalized_performance < 1.0
