@@ -31,8 +31,8 @@ from .native import (
     native_interference_report,
     pinning_supported,
 )
-from .patterns import BucketSort, WorkloadSpec, write_trace_csv
-from .simulator import interference_report
+from .patterns import BucketSort, PatternError, WorkloadSpec, write_trace_csv
+from .simulator import SimulationError, interference_report
 
 SIM_HEADER = (
     "workload,accesses,hits,misses,mpka,lines_fetched,"
@@ -347,11 +347,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, GeometryError, NativeError, OSError) as e:
+    except BrokenPipeError:
+        # the reader left early (`| head`); stdout can no longer be flushed,
+        # so point it at /dev/null for the interpreter's exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (ConfigError, GeometryError, NativeError, PatternError, SimulationError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

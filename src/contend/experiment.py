@@ -213,11 +213,15 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
         secondaries=tuple(secondaries),
         native=native,
     )
-    for w in (cfg.primary, *cfg.secondaries):
-        try:
-            validate_workload(w, g.line_size)
-        except PatternError as e:
-            raise ConfigError(str(e)) from e
+    # generators validate what they build, and relocation by a line multiple
+    # keeps it valid; literal workloads are checked once, where they landed
+    specs = (d["primary"], *d.get("secondaries", []))
+    for w, spec in zip((cfg.primary, *cfg.secondaries), specs):
+        if "generator" not in spec:
+            try:
+                validate_workload(w, g.line_size)
+            except PatternError as e:
+                raise ConfigError(str(e)) from e
     return cfg
 
 

@@ -14,15 +14,21 @@ Workloads are built from four pattern kinds:
 
 Each pattern's ops(base) is its lazy (op, address) stream for one thread
 whose arena starts at base; streams are bit-deterministic for fixed inputs.
+line_feed(line_shift, limit) is the same stream for the compiled simulator:
+a uint32 array of ((addr - base) >> line_shift) << 1 | is_write holding the
+first min(cycle, limit) events, cycled to give the first n_events of ops().
 """
 
 from __future__ import annotations
 
+import json
+import math
 import random
-from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, cycle, islice, repeat
 from typing import Iterator, Union
+
+import numpy as np
 
 from .geometry import CacheGeometry, bank_of, conflict_stride, set_of
 
@@ -33,6 +39,9 @@ READ = "r"
 WRITE = "w"
 
 STREAM_KINDS = ("copy", "scale", "add", "triad")
+# kind -> (source arrays, destination array), 0/1/2 for a/b/c
+_STREAM_ARRAYS = {"copy": ((0,), 2), "scale": ((2,), 1),
+                  "add": ((0, 1), 2), "triad": ((1, 2), 0)}
 # op_mix -> the ops a walk cycles through, indexed by the global event count
 OP_MIXES = {"read": (READ,), "write": (WRITE,), "readwrite": (READ, WRITE)}
 
@@ -74,6 +83,16 @@ class StridedWalk:
         addrs = range(base, base + self.arena_bytes, self.stride_bytes)
         return zip(cycle(OP_MIXES[self.op_mix]), chain.from_iterable(repeat(addrs)))
 
+    def line_feed(self, line_shift: int, limit: int) -> tuple[np.ndarray, int]:
+        ops = OP_MIXES[self.op_mix]
+        period = math.lcm(self.pass_length, len(ops))
+        feed = _walk_lines(0, self.pass_length, min(period, limit),
+                           self.stride_bytes, line_shift)
+        for j, op in enumerate(ops):
+            if op == WRITE:
+                feed[j::len(ops)] |= 1
+        return feed, limit
+
 
 @dataclass(frozen=True)
 class SharedWalk:
@@ -114,6 +133,12 @@ class SharedWalk:
         rest = chain.from_iterable(repeat(range(base, end, self.stride_bytes)))
         return zip(repeat(READ), chain(first, rest))
 
+    def line_feed(self, line_shift: int, limit: int) -> tuple[np.ndarray, int]:
+        """One pass rotated to begin at start_offset."""
+        n = self.pass_length
+        return _walk_lines(self.start_offset // self.stride_bytes, n, min(n, limit),
+                           self.stride_bytes, line_shift), limit
+
 
 @dataclass(frozen=True)
 class StreamKernel:
@@ -129,6 +154,8 @@ class StreamKernel:
             raise PatternError("n_elems must be >= 0")
         if self.elem_bytes != 8:
             raise PatternError("only 8-byte elements are supported")
+        if 3 * self.n_elems >= 1 << 32:
+            raise PatternError("3 * n_elems must be below 2**32 (32-bit element indices)")
 
     @property
     def arena_span(self) -> int:
@@ -148,14 +175,28 @@ class StreamKernel:
         n, eb = self.n_elems, self.elem_bytes
         if n == 0:
             return
-        a, b, c = base, base + n * eb, base + 2 * n * eb
-        srcs, dst = {"copy": ((a,), c), "scale": ((c,), b),
-                     "add": ((a, b), c), "triad": ((b, c), a)}[self.kind]
+        srcs, dst = _STREAM_ARRAYS[self.kind]
+        srcs = [base + k * n * eb for k in srcs]
+        dst = base + dst * n * eb
         while True:
             for off in range(0, n * eb, eb):
                 for src in srcs:
                     yield (READ, src + off)
                 yield (WRITE, dst + off)
+
+    def line_feed(self, line_shift: int, limit: int) -> tuple[np.ndarray, int]:
+        n, per = self.n_elems, self.events_per_elem
+        if n == 0:
+            return np.empty(0, np.uint32), 0
+        length = min(self.pass_length, limit)
+        elems = -(-length // per)
+        feed = np.empty(elems * per, np.uint32)
+        srcs, dst = _STREAM_ARRAYS[self.kind]
+        for j, k in enumerate((*srcs, dst)):
+            feed[j::per] = np.arange(k * n, k * n + elems, dtype=np.uint32)
+        _words_to_lines(feed, self.elem_bytes, line_shift)
+        feed[per - 1::per] |= 1
+        return feed[:length], limit
 
 
 @dataclass(frozen=True)
@@ -173,6 +214,9 @@ class BucketSort:
             raise PatternError("n_buckets must be >= 1")
         if self.iterations < 0:
             raise PatternError("iterations must be >= 0")
+        if 2 * self.n_keys + self.n_buckets >= 1 << 32:
+            raise PatternError("2 * n_keys + n_buckets must be below 2**32 "
+                               "(32-bit word indices)")
 
     @property
     def arena_span(self) -> int:
@@ -186,8 +230,8 @@ class BucketSort:
 
     def ops(self, base: int) -> Iterator[tuple[str, int]]:
         """iterations repeats of one pass; keys are drawn once per stream."""
-        keys = _bucket_keys(self)
-        buckets, pos = _bucket_positions(self, keys)
+        # memoryviews index as Python ints without a list's per-element objects
+        buckets, pos = map(memoryview, _bucket_positions(self))
         cnt_base = base + 4 * self.n_keys
         out_base = cnt_base + 4 * self.n_buckets
         for _ in range(self.iterations):
@@ -200,6 +244,31 @@ class BucketSort:
             for i in range(self.n_keys):
                 yield (READ, base + 4 * i)
                 yield (WRITE, out_base + 4 * pos[i])
+
+    def line_feed(self, line_shift: int, limit: int) -> tuple[np.ndarray, int]:
+        """One iteration; its 4-byte words are keys [0, n), counters
+        [n, n + n_buckets), then the output."""
+        n, nb = self.n_keys, self.n_buckets
+        total = self.iterations * self.pass_length
+        buckets, pos = _bucket_positions(self)
+        feed = np.empty(min(self.pass_length, limit, total), np.uint32)
+        perm = 2 * n + nb
+
+        def put(view, first, values=None):
+            if values is None:
+                view[:] = np.arange(first, first + len(view), dtype=np.uint32)
+            else:
+                np.add(values[:len(view)], first, out=view)
+
+        put(feed[:n], 0)
+        put(feed[n:2 * n], n, buckets)
+        put(feed[2 * n:perm], n)
+        put(feed[perm::2], 0)
+        put(feed[perm + 1::2], n + nb, pos)
+        _words_to_lines(feed, 4, line_shift)
+        feed[n:perm] |= 1
+        feed[perm + 1::2] |= 1
+        return feed, min(limit, total)
 
 
 Pattern = Union[StridedWalk, SharedWalk, StreamKernel, BucketSort]
@@ -423,8 +492,8 @@ def pack(workloads, align: int) -> list[WorkloadSpec]:
     for w in workloads:
         w2 = relocate(w, next_base)
         out.append(w2)
-        end = w2.end_address()
-        next_base = (end + align - 1) // align * align
+        end = w2.end_address()   # 0 when w claims no bytes
+        next_base = max(next_base, (end + align - 1) // align * align)
         if next_base == 0:
             next_base = align
     return out
@@ -434,27 +503,46 @@ def pack(workloads, align: int) -> list[WorkloadSpec]:
 # expansion into access events
 
 
-def _bucket_keys(p: BucketSort) -> array:
-    rng = random.Random(p.seed)
-    return array("I", (rng.getrandbits(32) for _ in range(p.n_keys)))
+def _bucket_positions(p: BucketSort) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket index and stable output position of every key, as uint32.
 
-
-def _bucket_positions(p: BucketSort, keys: array) -> tuple[array, array]:
-    """Bucket index and stable output position for every key."""
-    buckets = array("I", ((k * p.n_buckets) >> 32 for k in keys))
-    counts = [0] * p.n_buckets
-    for b in buckets:
-        counts[b] += 1
-    starts = [0] * p.n_buckets
-    acc = 0
-    for i, c in enumerate(counts):
-        starts[i] = acc
-        acc += c
-    pos = array("I", bytes(4 * p.n_keys))
-    for i, b in enumerate(buckets):
-        pos[i] = starts[b]
-        starts[b] += 1
+    The keys are the seeded generator's successive 32-bit draws: randbytes
+    lays out getrandbits(32) words least significant first.
+    """
+    keys = np.frombuffer(random.Random(p.seed).randbytes(4 * p.n_keys), "<u4")
+    wide = keys.astype(np.uint64)
+    del keys     # bucket indices (keys * n_buckets) >> 32 need 64-bit products
+    wide *= p.n_buckets
+    wide >>= 32
+    buckets = wide.astype(np.uint32)
+    del wide
+    pos = np.empty(p.n_keys, np.uint32)
+    pos[np.argsort(buckets, kind="stable")] = np.arange(p.n_keys, dtype=np.uint32)
     return buckets, pos
+
+
+def _words_to_lines(feed: np.ndarray, word_bytes: int, line_shift: int) -> None:
+    """In place: word indices -> (index of the word's line) << 1."""
+    word_shift = word_bytes.bit_length() - 1
+    if line_shift >= word_shift:
+        feed >>= line_shift - word_shift
+    else:
+        feed <<= word_shift - line_shift
+    feed <<= 1
+
+
+def _walk_lines(first: int, n: int, length: int, stride: int, line_shift: int) -> np.ndarray:
+    """(line index << 1) of steps first, first + 1, ... (mod n) of a walk
+    with n steps of stride bytes, length of them, as uint32."""
+    if stride % (1 << line_shift) == 0:
+        feed = np.arange(first, first + length, dtype=np.uint32)
+        feed %= n
+        feed *= (stride >> line_shift) << 1
+        return feed
+    # a stride that is not a whole number of lines: the byte offsets may
+    # pass 2**32, so they are formed in 64 bits
+    steps = np.arange(first, first + length, dtype=np.uint64) % n
+    return ((steps * stride) >> line_shift << 1).astype(np.uint32)
 
 
 def iter_ops(w: WorkloadSpec, thread_idx: int, limit: int) -> Iterator[tuple[str, int]]:
@@ -518,14 +606,15 @@ def workload_to_dict(w: WorkloadSpec) -> dict:
 
 def workload_from_dict(d: dict) -> WorkloadSpec:
     try:
-        threads = tuple(
-            ThreadSpec(
-                _pattern_from_dict(t["pattern"]),
-                int(t.get("arena_base", 0)),
-                t.get("cpu_hint"),
-            )
-            for t in d["threads"]
-        )
+        threads = []
+        for t in d["threads"]:
+            pattern = _pattern_from_dict(t["pattern"])
+            base = t.get("arena_base", 0)
+            # bool is an int subclass, so compare exact types
+            if type(base) is not int:
+                raise PatternError(f"thread field 'arena_base' must be an integer, "
+                                   f"got {json.dumps(base)}")
+            threads.append(ThreadSpec(pattern, base, t.get("cpu_hint")))
         return WorkloadSpec(d["name"], threads, dict(d.get("shared_arenas", {})))
     except (KeyError, TypeError) as e:
         raise PatternError(f"malformed workload description: {e}") from e

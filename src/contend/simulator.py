@@ -9,15 +9,35 @@ after it is dequeued and the thread resumes then.  Replacement is true LRU
 per set, writes allocate, and dirty evictions optionally consume a
 controller slot.  Ties between threads ready in the same cycle go to the
 lowest (workload, thread) id, so runs are bit-deterministic.
+
+simulate runs the event loop compiled from _simcore.c, built with the
+system C compiler on first use and cached under $XDG_CACHE_HOME/contend
+(default ~/.cache/contend).  Without a compiler it falls back to _run, the
+pure-Python loop that is also the compiled loop's reference.
 """
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import functools
+import hashlib
 import heapq
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
 
 from .geometry import CacheGeometry, bank_of, set_of, validate_geometry
 from .patterns import WorkloadSpec, iter_ops, validate_workload
+
+# a line feed entry holds line << 1 | is_write in 32 bits
+MAX_ARENA_LINES = 1 << 31
 
 
 class SimulationError(ValueError):
@@ -119,7 +139,13 @@ def _check_placement(workloads: list[WorkloadSpec], g: CacheGeometry) -> None:
     spans = []
     for w in workloads:
         validate_workload(w, g.line_size)
-        spans.extend((lo, hi, w.name) for lo, hi in w.arena_intervals())
+        for lo, hi in w.arena_intervals():
+            if (hi - lo + g.line_size - 1) // g.line_size >= MAX_ARENA_LINES:
+                raise SimulationError(
+                    f"an arena of {w.name!r} spans {hi - lo} bytes, "
+                    f"{MAX_ARENA_LINES} lines or more"
+                )
+            spans.append((lo, hi, w.name))
     spans.sort()
     for (a0, a1, an), (b0, _, bn) in zip(spans, spans[1:]):
         if b0 < a1:
@@ -206,6 +232,123 @@ def _run(workloads: list[WorkloadSpec], cfg: SimConfig) -> dict:
     }
 
 
+_SIMCORE_SOURCE = Path(__file__).with_name("_simcore.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+
+
+def _compile_simcore(cc: str, out_dir: str) -> str:
+    """Path of the compiled kernel in out_dir, building it if absent; the
+    name carries a digest of the source and flags, so a stale build is
+    never loaded."""
+    digest = hashlib.sha256(_SIMCORE_SOURCE.read_bytes()
+                            + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    lib = os.path.join(out_dir, f"simcore-{digest}.so")
+    if not os.path.exists(lib):
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=out_dir)
+        os.close(fd)
+        try:
+            subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SIMCORE_SOURCE)],
+                           check=True, capture_output=True)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return lib
+
+
+@functools.cache
+def _simcore():
+    """The compiled simcore_run, or None (after one line on stderr) when it
+    cannot be built."""
+    cc = shutil.which("cc")
+    if cc is None:
+        print("contend: no C compiler (cc) found; simulating with the slower "
+              "pure-Python loop", file=sys.stderr)
+        return None
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                         or os.path.expanduser("~/.cache"), "contend")
+    try:
+        try:
+            os.makedirs(cache, exist_ok=True)
+            lib = _compile_simcore(cc, cache)
+        except OSError:   # no writable cache: a directory private to this process
+            private = tempfile.mkdtemp(prefix="contend-")
+            atexit.register(shutil.rmtree, private, ignore_errors=True)
+            lib = _compile_simcore(cc, private)
+        fn = ctypes.CDLL(lib).simcore_run
+    except (OSError, subprocess.CalledProcessError) as e:
+        print(f"contend: cannot build {_SIMCORE_SOURCE.name} ({e}); simulating "
+              f"with the slower pure-Python loop", file=sys.stderr)
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ctypes.c_uint64, i64, i64,
+                   i64, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig) -> dict:
+    """_run's result from the compiled loop."""
+    g = cfg.geometry
+    _check_placement(workloads, g)
+    line_shift = g.line_size.bit_length() - 1
+    budget = cfg.per_thread_event_budget
+    feeds, feed_of, n_events, base_line, wl = [], {}, [], [], []
+    for wi, w in enumerate(workloads):
+        for t in w.threads:
+            if t.pattern not in feed_of:   # equal patterns share a feed
+                feed, n = t.pattern.line_feed(line_shift, budget)
+                # the kernel reads feed[0 .. len) as contiguous uint32
+                if feed.dtype != np.uint32 or not feed.flags.c_contiguous or (n and not len(feed)):
+                    raise SimulationError(f"unusable line feed from {t.pattern!r}")
+                feed_of[t.pattern] = feed, n
+            feed, n = feed_of[t.pattern]
+            feeds.append(feed)
+            n_events.append(n)
+            base_line.append(w.base_of(t) >> line_shift)
+            wl.append(wi)
+    n_wl = len(workloads)
+    counters = np.zeros((5, n_wl), np.int64)
+    totals = np.zeros(2, np.int64)
+    labels = np.zeros(sum(n_events), np.uint8) if cfg.record_hit_miss else None
+    arrays = [np.array([f.ctypes.data for f in feeds], np.uintp),
+              np.array([len(f) for f in feeds], np.int64),
+              np.array(n_events, np.int64), np.array(base_line, np.uint64),
+              np.array(wl, np.int32)]
+    rc = kernel(len(feeds), *(a.ctypes.data for a in arrays),
+                g.num_sets - 1, g.associativity, cfg.hit_latency, cfg.mem_latency,
+                cfg.mc_service_interval, cfg.writeback_counts_as_slot,
+                *(row.ctypes.data for row in counters), totals.ctypes.data,
+                None if labels is None else labels.ctypes.data)
+    if rc != 0:
+        raise MemoryError("simcore_run could not allocate its cache state")
+    out = {}
+    if labels is not None:
+        per_thread = iter(np.split(labels.view(np.bool_), np.cumsum(n_events)[:-1]))
+        out = {w.name: [next(per_thread).tolist() for _ in w.threads] for w in workloads}
+    accesses, hits, fetched, written_back, finish = counters.tolist()
+    return {
+        "accesses": accesses,
+        "hits": hits,
+        "fetched": fetched,
+        "written_back": written_back,
+        "finish": finish,
+        "elapsed": int(totals[0]),
+        "mc_serviced": int(totals[1]),
+        "labels": out,
+    }
+
+
+def _timed_run(workloads: list[WorkloadSpec], cfg: SimConfig) -> dict:
+    """One raw timed run, compiled when the kernel is available and every
+    cycle count fits its 64-bit counters."""
+    kernel = _simcore()
+    events = cfg.per_thread_event_budget * sum(len(w.threads) for w in workloads)
+    if kernel is None or events * (cfg.mem_latency + 2 * cfg.mc_service_interval) >= 1 << 63:
+        return _run(workloads, cfg)
+    return _run_compiled(kernel, workloads, cfg)
+
+
 def _build_result(workloads, cfg, raw, solo_elapsed) -> SimResult:
     wb_slot = cfg.writeback_counts_as_slot
     mc_lines = [
@@ -256,7 +399,7 @@ def simulate(
     workloads = list(workloads)
     if not workloads:
         raise SimulationError("need at least one workload")
-    raw = _run(workloads, cfg)
+    raw = _timed_run(workloads, cfg)
     solo_elapsed = dict(baselines or {})
     for i, w in enumerate(workloads):
         if w.name in solo_elapsed:
@@ -264,7 +407,7 @@ def simulate(
         if len(workloads) == 1:
             solo_elapsed[w.name] = raw["finish"][i]
         else:
-            solo_elapsed[w.name] = _run([w], cfg)["finish"][0]
+            solo_elapsed[w.name] = _timed_run([w], cfg)["finish"][0]
     return _build_result(workloads, cfg, raw, solo_elapsed)
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -178,6 +180,26 @@ def test_gen_unknown_workload_exits_2(capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_gen_negative_limit_exits_2(capsys):
+    assert main(["gen", TOY_DEMO, "--limit", "-1"]) == 2
+    assert "error: limit must be >= 0" in capsys.readouterr().err
+
+
+def test_gen_into_closed_pipe_exits_0():
+    # the reader stops after one line, like `contend gen ... | head -1`
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "contend.cli", "gen", TOY_DEMO, "--limit", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"thread,seq,op,address\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_missing_config_exits_2(capsys):
     assert main(["sim", "/nonexistent/exp.json"]) == 2
 
@@ -230,6 +252,12 @@ def test_duplicate_secondaries_config_exits_2(tmp_path, capsys):
      "generator 'onchip' field 'threads' must be an integer, got \"2\""),
     ({"sim": {"hit_latency": True}},
      "sim field 'hit_latency' must be int, got true"),
+    ({"primary": {"name": "p", "threads": [{"pattern": {
+        "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "arena_base": "abc"}]}},
+     "thread field 'arena_base' must be an integer, got \"abc\""),
+    ({"primary": {"name": "p", "threads": [{"pattern": {
+        "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "arena_base": 4096.5}]}},
+     "thread field 'arena_base' must be an integer, got 4096.5"),
 ])
 def test_mistyped_config_field_exits_2(tmp_path, capsys, override, message):
     p = tmp_path / "typed.json"

@@ -1,9 +1,16 @@
 import random
+import shutil
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contend.geometry import conflict_stride, preset
+from contend import simulator
+from contend.geometry import BitRange, CacheGeometry, conflict_stride, preset
 from contend.patterns import (
+    BucketSort,
+    SharedWalk,
     StreamKernel,
     StridedWalk,
     ThreadSpec,
@@ -12,6 +19,7 @@ from contend.patterns import (
     gen_onchip_antagonist,
     gen_stream,
     iter_ops,
+    pack,
     relocate,
 )
 from contend.simulator import (
@@ -319,3 +327,139 @@ def test_config_validation():
         SimConfig(geometry=TOY, mc_service_interval=0)
     with pytest.raises(SimulationError):
         SimConfig(geometry=TOY, per_thread_event_budget=0)
+
+
+# ---------------------------------------------------------------------------
+# compiled event loop against the pure-Python _run
+
+
+@st.composite
+def geometries(draw):
+    line_shift = draw(st.integers(2, 6))
+    bank_bits = draw(st.integers(0, 2))
+    set_bits = draw(st.integers(1, 4))
+    set_lo = line_shift + bank_bits
+    return CacheGeometry(
+        "random", 1 << line_shift, 1 << bank_bits, 1 << set_bits,
+        draw(st.integers(1, 5)),
+        BitRange(set_lo - 1, line_shift) if bank_bits else None,
+        BitRange(set_lo + set_bits - 1, set_lo),
+    )
+
+
+@st.composite
+def private_patterns(draw):
+    kind = draw(st.sampled_from(["strided", "stream", "bucketsort"]))
+    if kind == "strided":
+        stride = draw(st.sampled_from([4, 12, 32, 64, 96, 256]))
+        return StridedWalk(stride * draw(st.integers(1, 9)), stride,
+                           draw(st.sampled_from(["read", "write", "readwrite"])))
+    if kind == "stream":
+        return StreamKernel(draw(st.sampled_from(["copy", "scale", "add", "triad"])),
+                            draw(st.integers(0, 40)))
+    return BucketSort(draw(st.integers(0, 30)), draw(st.integers(1, 6)),
+                      draw(st.integers(0, 2)), draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def workloads(draw, name):
+    threads, base = [], 0
+    for p in draw(st.lists(private_patterns(), max_size=3)):
+        threads.append(ThreadSpec(p, base))
+        base += (p.arena_span + 255) // 256 * 256
+    arenas = {}
+    walkers = draw(st.integers(0, 3))
+    if walkers:
+        stride = draw(st.sampled_from([8, 64, 128]))
+        steps = draw(st.integers(1, 12))
+        arenas["shared"] = base
+        for _ in range(walkers):
+            offset = draw(st.integers(0, steps - 1)) * stride
+            threads.append(ThreadSpec(SharedWalk("shared", steps * stride, stride, offset)))
+    if not threads:
+        threads.append(ThreadSpec(StreamKernel("triad", 0)))
+    return WorkloadSpec(name, tuple(threads), arenas)
+
+
+@st.composite
+def sim_runs(draw):
+    g = draw(geometries())
+    hit = draw(st.integers(1, 5))
+    cfg = SimConfig(
+        geometry=g,
+        hit_latency=hit,
+        mem_latency=hit + draw(st.integers(0, 40)),
+        mc_service_interval=draw(st.integers(1, 50)),
+        writeback_counts_as_slot=draw(st.booleans()),
+        per_thread_event_budget=draw(st.integers(1, 300)),
+        record_hit_miss=True,
+    )
+    n = draw(st.integers(1, 3))
+    return pack([draw(workloads(f"w{i}")) for i in range(n)], 256), cfg
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@needs_cc
+def test_compiled_kernel_loads():
+    # with a compiler present, a broken build must not hide behind the fallback
+    assert simulator._simcore() is not None
+
+
+@needs_cc
+@settings(max_examples=300, deadline=None)
+@given(sim_runs())
+def test_compiled_loop_matches_run(run):
+    ws, cfg = run
+    assert simulator._run_compiled(simulator._simcore(), ws, cfg) == simulator._run(ws, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(private_patterns(),
+                 st.builds(SharedWalk, st.just("s"), st.just(640), st.sampled_from([4, 64, 128]),
+                           st.sampled_from([0, 128, 512]))),
+       st.integers(2, 6), st.integers(0, 200))
+def test_line_feed_decodes_to_ops(pattern, line_shift, limit):
+    base = 7 << 12
+    feed, n_events = pattern.line_feed(line_shift, limit)
+    assert feed.dtype.name == "uint32"
+    decoded = [("w" if e & 1 else "r", (base >> line_shift) + (e >> 1))
+               for e in (int(feed[k % len(feed)]) for k in range(n_events))]
+    expected = [(op, addr >> line_shift) for op, addr in islice(pattern.ops(base), limit)]
+    assert decoded == expected
+
+
+@pytest.mark.parametrize("mem_latency, interval", [(100, 12), (10, 40)])
+def test_fallback_gives_identical_results(monkeypatch, mem_latency, interval):
+    v = WorkloadSpec("victim", (ThreadSpec(StreamKernel("triad", 48), 0),
+                                ThreadSpec(BucketSort(40, 4, 2, seed=3), 4096)))
+    off = relocate(gen_offchip_antagonist(TOY, 3, array_bytes=2048, op_mix="readwrite"), 16384)
+    on = relocate(gen_onchip_antagonist(TOY, 3), 32768)
+    cfg = toy_cfg(mem_latency=mem_latency, mc_service_interval=interval,
+                  per_thread_event_budget=700, record_hit_miss=True)
+    # one set written to thrash: dirty evictions to the very end
+    thrash = WorkloadSpec("thrash", (ThreadSpec(StridedWalk(8192, 1024, "write"), 65536),))
+    runs = ([v], [thrash], [v, off], [v, on])
+    compiled = [simulate(ws, cfg) for ws in runs]
+    monkeypatch.setattr(simulator, "_simcore", lambda: None)
+    python = [simulate(ws, cfg) for ws in runs]
+    assert compiled == python
+    assert [r.hit_miss for r in compiled] == [r.hit_miss for r in python]
+
+
+def test_cycle_counts_beyond_64_bits():
+    # four back-to-back misses of 2**62 cycles each: past the compiled loop's
+    # int64 counters, so the exact Python loop runs
+    w = WorkloadSpec("w", (ThreadSpec(StridedWalk(8192, 1024)),))
+    cfg = toy_cfg(mem_latency=2**62, per_thread_event_budget=4)
+    assert simulate([w], cfg).metrics("w").elapsed_cycles == 2**64
+
+
+def test_arena_of_2_31_lines_refused():
+    lines = 1 << 31
+    below = WorkloadSpec("w", (ThreadSpec(StridedWalk((lines - 1) * 32, (lines - 1) * 32)),))
+    assert simulate([below], toy_cfg(per_thread_event_budget=3)).metrics("w").misses == 1
+    at = WorkloadSpec("w", (ThreadSpec(StridedWalk(lines * 32, lines * 32)),))
+    with pytest.raises(SimulationError, match="2147483648 lines"):
+        simulate([at], toy_cfg())
