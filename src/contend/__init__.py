@@ -63,7 +63,6 @@ from .native import (
     ThreadResult,
     bytes_per_pass,
     co_run,
-    measure_stream,
     native_interference_report,
     run_native,
 )

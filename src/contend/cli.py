@@ -179,6 +179,8 @@ def cmd_preset(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.limit < 0:   # refused before any output exists
+        raise ConfigError("limit must be >= 0")
     cfg = _apply_seed(load_experiment(args.config), args.seed)
     byname = {w.name: w for w in (cfg.primary, *cfg.secondaries)}
     if args.workload not in byname:

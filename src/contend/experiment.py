@@ -165,9 +165,13 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
 
     if "primary" not in d:
         raise ConfigError("experiment needs a primary workload")
+    secondary_specs = d.get("secondaries", [])
+    if not isinstance(secondary_specs, list):
+        raise ConfigError(f"secondaries must be a list of workloads, "
+                          f"got {type(secondary_specs).__name__}")
     try:
         primary = _rename(_build_workload(d["primary"], g), PRIMARY_NAME)
-        secondaries = [_build_workload(s, g) for s in d.get("secondaries", [])]
+        secondaries = [_build_workload(s, g) for s in secondary_specs]
     except PatternError as e:
         raise ConfigError(str(e)) from e
 
@@ -215,8 +219,7 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
     )
     # generators validate what they build, and relocation by a line multiple
     # keeps it valid; literal workloads are checked once, where they landed
-    specs = (d["primary"], *d.get("secondaries", []))
-    for w, spec in zip((cfg.primary, *cfg.secondaries), specs):
+    for w, spec in zip((cfg.primary, *cfg.secondaries), (d["primary"], *secondary_specs)):
         if "generator" not in spec:
             try:
                 validate_workload(w, g.line_size)

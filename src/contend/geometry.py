@@ -14,7 +14,7 @@ the offset bits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_ADDR_BITS = 48
 
@@ -62,18 +62,8 @@ class CacheGeometry:
     bank_bits: BitRange | None
     set_bits: BitRange
 
-    # derived masks/shifts, filled in __post_init__ so the per-address
-    # mapping functions stay cheap in hot loops
-    _set_mask: int = field(init=False, repr=False, compare=False, default=0)
-    _bank_mask: int = field(init=False, repr=False, compare=False, default=0)
-    _bank_lo: int = field(init=False, repr=False, compare=False, default=0)
-
     def __post_init__(self):
         validate_geometry(self)
-        object.__setattr__(self, "_set_mask", self.sets_per_bank - 1)
-        if self.bank_bits is not None:
-            object.__setattr__(self, "_bank_mask", self.num_banks - 1)
-            object.__setattr__(self, "_bank_lo", self.bank_bits.lo)
 
     @property
     def capacity(self) -> int:
@@ -137,12 +127,12 @@ def validate_geometry(g: CacheGeometry) -> CacheGeometry:
 
 def bank_of(addr: int, g: CacheGeometry) -> int:
     """Bank index selected by addr; 0 for single-banked geometries."""
-    return (addr >> g._bank_lo) & g._bank_mask
+    return 0 if g.bank_bits is None else g.bank_bits.extract(addr)
 
 
 def set_of(addr: int, g: CacheGeometry) -> int:
     """Set index within the selected bank."""
-    return (addr >> g.set_bits.lo) & g._set_mask
+    return g.set_bits.extract(addr)
 
 
 def line_of(addr: int, g: CacheGeometry) -> int:

@@ -34,10 +34,6 @@ from .patterns import (
 )
 
 DEFAULT_LINE_SIZE = 64
-DEFAULT_LLC_BYTES = 32 * 1024 * 1024
-
-# bytes moved per element, by STREAM convention (read + written)
-STREAM_BYTES_PER_ELEM = {"copy": 16, "scale": 16, "add": 24, "triad": 24}
 
 
 class NativeError(RuntimeError):
@@ -101,18 +97,9 @@ def _alloc_words(n_words: int, hugepages: bool) -> np.ndarray:
 
 
 def bytes_per_pass(pattern, line_size: int = DEFAULT_LINE_SIZE) -> int:
-    """Exact bytes accounted to one full pass of a pattern.
-
-    Walk patterns touch one line per access; stream kernels move the STREAM
-    byte count per element; bucket sort touches one 4-byte word per event.
-    """
-    if isinstance(pattern, (StridedWalk, SharedWalk)):
-        return pattern.pass_length * line_size
-    if isinstance(pattern, StreamKernel):
-        return pattern.n_elems * STREAM_BYTES_PER_ELEM[pattern.kind]
-    if isinstance(pattern, BucketSort):
-        return pattern.pass_length * 4
-    raise NativeError(f"unsupported pattern {type(pattern).__name__}")
+    """Exact bytes accounted to one full pass of a pattern: its accesses
+    times the bytes one access moves, a whole line for the walks."""
+    return pattern.pass_length * (pattern.access_bytes or line_size)
 
 
 def _alloc_arena(n_bytes: int, hugepages: bool) -> np.ndarray:
@@ -173,8 +160,7 @@ def _stream_kernel(p: StreamKernel, shared_arrays, hugepages):
 
 
 def _bucket_kernel(p: BucketSort, shared_arrays, hugepages):
-    rng = np.random.Generator(np.random.PCG64(p.seed))
-    keys = rng.integers(0, 1 << 32, p.n_keys, dtype=np.uint64)
+    keys = p.keys().astype(np.uint64)   # the simulator's keys
     buckets = ((keys * p.n_buckets) >> 32).astype(np.intp)
     out = np.zeros(p.n_keys, dtype=np.uint64)
 
@@ -195,40 +181,28 @@ _KERNELS = {
 }
 
 
-class _Runner:
-    """Per-thread kernel: allocates state, then runs pass-invariant passes."""
-
-    def __init__(self, pattern, shared_arrays, hugepages):
-        self.pattern = pattern
-        self.shared_arrays = shared_arrays
-        self.hugepages = hugepages
-
-    def setup(self):
-        kernel = _KERNELS[type(self.pattern)]
-        self._pass = kernel(self.pattern, self.shared_arrays, self.hugepages)
-
-    def run_pass(self) -> int:
-        """One full pass; returns a pass-invariant checksum."""
-        return self._pass()
-
-
-def _thread_main(idx, runner, cpu, duration, barrier, results, errors):
+def _thread_main(idx, pattern, shared_arrays, hugepages, cpu, duration, barrier,
+                 results, errors):
+    """Thread idx of its workload: pin, then allocate and first-touch the
+    kernel's state on that cpu, warm up, and time passes; fills results[idx],
+    or errors[idx] on failure."""
     try:
         if cpu is not None:
             try:
                 os.sched_setaffinity(0, {cpu})
             except (AttributeError, OSError) as e:
-                raise NativeError(f"cannot pin thread {idx} to cpu {cpu}: {e}") from e
-        runner.setup()
-        runner.run_pass()  # warm-up, untimed
+                raise NativeError(f"cannot pin thread {threading.current_thread().name} "
+                                  f"to cpu {cpu}: {e}") from e
+        run_pass = _KERNELS[type(pattern)](pattern, shared_arrays, hugepages)
+        run_pass()  # warm-up, untimed
         barrier.wait()
-        bpp = bytes_per_pass(runner.pattern)
+        bpp = bytes_per_pass(pattern)
         monotonic = time.monotonic
         t0 = monotonic()
         passes = 0
         checksum = 0
         while monotonic() - t0 < duration:
-            checksum = runner.run_pass()
+            checksum = run_pass()
             passes += 1
         elapsed = monotonic() - t0
         results[idx] = ThreadResult(
@@ -277,24 +251,21 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
         for w in workloads
     ]
 
-    jobs = []  # (workload idx, thread idx within workload, runner, cpu)
-    for wi, w in enumerate(workloads):
-        for ti, t in enumerate(w.threads):
-            jobs.append((wi, ti, _Runner(t.pattern, shared[wi], hugepages), t.cpu_hint))
-
-    n = len(jobs)
-    barrier = threading.Barrier(n + 1)
-    results: list[ThreadResult | None] = [None] * n
-    errors: list[BaseException | None] = [None] * n
-    threads = []
-    for j, (wi, ti, runner, cpu) in enumerate(jobs):
-        th = threading.Thread(
+    # per workload, indexed by thread
+    results = [[None] * len(w.threads) for w in workloads]
+    errors = [[None] * len(w.threads) for w in workloads]
+    barrier = threading.Barrier(sum(map(len, results)) + 1)
+    threads = [
+        threading.Thread(
             target=_thread_main,
-            args=(j, runner, cpu, duration, barrier, results, errors),
-            name=f"{workloads[wi].name}-{ti}",
+            args=(ti, t.pattern, shared[wi], hugepages, t.cpu_hint, duration, barrier,
+                  results[wi], errors[wi]),
+            name=f"{w.name}-{ti}",
             daemon=True,
         )
-        threads.append(th)
+        for wi, w in enumerate(workloads) for ti, t in enumerate(w.threads)
+    ]
+    for th in threads:
         th.start()
     try:
         barrier.wait(timeout=max(300.0, 60.0 + duration))
@@ -302,7 +273,7 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
         pass
     for th in threads:
         th.join()
-    raised = [e for e in errors if e is not None]
+    raised = [e for errs in errors for e in errs if e is not None]
     if raised:
         # a pre-barrier failure breaks the barrier for healthy threads too;
         # report the root cause, not the collateral BrokenBarrierError
@@ -318,16 +289,7 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
     meta["duration_s"] = duration
     meta["hugepages"] = hugepages
     out = []
-    for wi, w in enumerate(workloads):
-        trs = []
-        for j, (jwi, ti, runner, cpu) in enumerate(jobs):
-            if jwi != wi:
-                continue
-            tr = results[j]
-            trs.append(
-                ThreadResult(ti, tr.cpu, tr.passes, tr.bytes_touched,
-                             tr.elapsed, tr.bandwidth, tr.checksum)
-            )
+    for w, trs in zip(workloads, results):
         checksum = 0
         for tr in trs:
             checksum ^= tr.checksum
@@ -365,43 +327,6 @@ def co_run(
         raise NativeError(f"primary and secondary pinned to the same cpus: {sorted(clash)}")
     res = _launch([primary, secondary], duration, hugepages)
     return res[0], res[1]
-
-
-def measure_stream(
-    kind: str,
-    n_elems: int,
-    repetitions: int = 5,
-    llc_bytes: int = DEFAULT_LLC_BYTES,
-    hugepages: bool = False,
-) -> float:
-    """Best-of-repetitions bandwidth (bytes/s) for one vector kernel.
-
-    Refuses array sizes that fit in the declared last-level cache: the three
-    arrays must total at least 4x llc_bytes so the kernel streams from
-    memory rather than cache.
-    """
-    if repetitions < 1:
-        raise NativeError("repetitions must be >= 1")
-    total = 3 * 8 * n_elems
-    if total < 4 * llc_bytes:
-        need = (4 * llc_bytes + 23) // 24
-        raise NativeError(
-            f"arrays total {total} bytes and would fit in the declared "
-            f"{llc_bytes}-byte cache; use n_elems >= {need} (or declare a "
-            f"smaller cache via llc_bytes)"
-        )
-    runner = _Runner(StreamKernel(kind, n_elems), {}, hugepages)
-    runner.setup()
-    runner.run_pass()  # warm-up
-    bpp = bytes_per_pass(runner.pattern)
-    best = 0.0
-    for _ in range(repetitions):
-        t0 = time.monotonic()
-        runner.run_pass()
-        dt = time.monotonic() - t0
-        if dt > 0:
-            best = max(best, bpp / dt)
-    return best
 
 
 @dataclass(frozen=True)

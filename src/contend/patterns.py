@@ -56,6 +56,7 @@ class StridedWalk:
     stride_bytes: int
     op_mix: str = "read"
     shared_arena = None      # private arena at its thread's arena_base
+    access_bytes = None      # bytes one access moves: None for a whole line
 
     def __post_init__(self):
         if self.stride_bytes <= 0 or self.arena_bytes <= 0:
@@ -100,6 +101,7 @@ class SharedWalk:
     arena_bytes: int
     stride_bytes: int
     start_offset: int = 0
+    access_bytes = None      # bytes one access moves: None for a whole line
 
     def __post_init__(self):
         if self.stride_bytes <= 0 or self.arena_bytes <= 0:
@@ -163,6 +165,11 @@ class StreamKernel:
         return 3 * self.n_elems * self.elem_bytes
 
     @property
+    def access_bytes(self) -> int:
+        """Bytes one access moves: one element."""
+        return self.elem_bytes
+
+    @property
     def events_per_elem(self) -> int:
         return 2 if self.kind in ("copy", "scale") else 3
 
@@ -194,7 +201,7 @@ class StreamKernel:
         srcs, dst = _STREAM_ARRAYS[self.kind]
         for j, k in enumerate((*srcs, dst)):
             feed[j::per] = np.arange(k * n, k * n + elems, dtype=np.uint32)
-        _words_to_lines(feed, self.elem_bytes, line_shift)
+        _words_to_lines(feed, self.access_bytes, line_shift)
         feed[per - 1::per] |= 1
         return feed[:length], limit
 
@@ -206,6 +213,7 @@ class BucketSort:
     iterations: int = 10
     seed: int = 0
     shared_arena = None      # private arena at its thread's arena_base
+    access_bytes = 4         # bytes one access moves: one 32-bit word
 
     def __post_init__(self):
         if self.n_keys < 0:
@@ -227,6 +235,11 @@ class BucketSort:
     def pass_length(self) -> int:
         """Events in one iteration: read keys, count, prefix, permute."""
         return 4 * self.n_keys + self.n_buckets
+
+    def keys(self) -> np.ndarray:
+        """The seeded generator's n_keys successive 32-bit draws, as uint32:
+        randbytes lays out getrandbits(32) words least significant first."""
+        return np.frombuffer(random.Random(self.seed).randbytes(4 * self.n_keys), "<u4")
 
     def ops(self, base: int) -> Iterator[tuple[str, int]]:
         """iterations repeats of one pass; keys are drawn once per stream."""
@@ -265,7 +278,7 @@ class BucketSort:
         put(feed[2 * n:perm], n)
         put(feed[perm::2], 0)
         put(feed[perm + 1::2], n + nb, pos)
-        _words_to_lines(feed, 4, line_shift)
+        _words_to_lines(feed, self.access_bytes, line_shift)
         feed[n:perm] |= 1
         feed[perm + 1::2] |= 1
         return feed, min(limit, total)
@@ -504,12 +517,8 @@ def pack(workloads, align: int) -> list[WorkloadSpec]:
 
 
 def _bucket_positions(p: BucketSort) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket index and stable output position of every key, as uint32.
-
-    The keys are the seeded generator's successive 32-bit draws: randbytes
-    lays out getrandbits(32) words least significant first.
-    """
-    keys = np.frombuffer(random.Random(p.seed).randbytes(4 * p.n_keys), "<u4")
+    """Bucket index and stable output position of every key, as uint32."""
+    keys = p.keys()
     wide = keys.astype(np.uint64)
     del keys     # bucket indices (keys * n_buckets) >> 32 need 64-bit products
     wide *= p.n_buckets

@@ -287,13 +287,15 @@ def _simcore():
     return fn
 
 
-def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig) -> dict:
-    """_run's result from the compiled loop."""
+def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
+                  feed_of: dict) -> dict:
+    """_run's result from the compiled loop; feed_of maps each pattern to its
+    (line feed, events) at cfg, and gains the feeds this run builds."""
     g = cfg.geometry
     _check_placement(workloads, g)
     line_shift = g.line_size.bit_length() - 1
     budget = cfg.per_thread_event_budget
-    feeds, feed_of, n_events, base_line, wl = [], {}, [], [], []
+    feeds, n_events, base_line, wl = [], [], [], []
     for wi, w in enumerate(workloads):
         for t in w.threads:
             if t.pattern not in feed_of:   # equal patterns share a feed
@@ -339,14 +341,14 @@ def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig) -> dict
     }
 
 
-def _timed_run(workloads: list[WorkloadSpec], cfg: SimConfig) -> dict:
+def _timed_run(workloads: list[WorkloadSpec], cfg: SimConfig, feed_of: dict) -> dict:
     """One raw timed run, compiled when the kernel is available and every
-    cycle count fits its 64-bit counters."""
+    cycle count fits its 64-bit counters; feed_of is _run_compiled's."""
     kernel = _simcore()
     events = cfg.per_thread_event_budget * sum(len(w.threads) for w in workloads)
     if kernel is None or events * (cfg.mem_latency + 2 * cfg.mc_service_interval) >= 1 << 63:
         return _run(workloads, cfg)
-    return _run_compiled(kernel, workloads, cfg)
+    return _run_compiled(kernel, workloads, cfg, feed_of)
 
 
 def _build_result(workloads, cfg, raw, solo_elapsed) -> SimResult:
@@ -396,10 +398,15 @@ def simulate(
     baselines maps workload name to a precomputed solo elapsed_cycles and
     saves the internal baseline runs when given.
     """
-    workloads = list(workloads)
+    return _simulate(list(workloads), cfg, baselines, {})
+
+
+def _simulate(workloads: list[WorkloadSpec], cfg: SimConfig,
+              baselines: dict[str, int] | None, feed_of: dict) -> SimResult:
+    """simulate, building each pattern's line feed only if feed_of lacks it."""
     if not workloads:
         raise SimulationError("need at least one workload")
-    raw = _timed_run(workloads, cfg)
+    raw = _timed_run(workloads, cfg, feed_of)
     solo_elapsed = dict(baselines or {})
     for i, w in enumerate(workloads):
         if w.name in solo_elapsed:
@@ -407,7 +414,7 @@ def simulate(
         if len(workloads) == 1:
             solo_elapsed[w.name] = raw["finish"][i]
         else:
-            solo_elapsed[w.name] = _timed_run([w], cfg)["finish"][0]
+            solo_elapsed[w.name] = _timed_run([w], cfg, feed_of)["finish"][0]
     return _build_result(workloads, cfg, raw, solo_elapsed)
 
 
@@ -432,11 +439,12 @@ def interference_report(
     names = [s.name for s in secondaries]
     if len(set(names)) != len(names) or primary.name in names:
         raise SimulationError("secondary names must be unique and differ from the primary")
-    solo = simulate([primary], cfg)
+    feed_of = {}   # each distinct pattern's feed, built once for the report
+    solo = _simulate([primary], cfg, None, feed_of)
     baselines = {primary.name: solo.metrics(primary.name).elapsed_cycles}
     rows = [InterferenceRow("idle", solo.metrics(primary.name), None)]
     for s in secondaries:
-        res = simulate([primary, s], cfg, baselines=baselines)
+        res = _simulate([primary, s], cfg, baselines, feed_of)
         rows.append(
             InterferenceRow(s.name, res.metrics(primary.name), res.metrics(s.name))
         )

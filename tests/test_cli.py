@@ -180,9 +180,13 @@ def test_gen_unknown_workload_exits_2(capsys):
     assert "ghost" in capsys.readouterr().err
 
 
-def test_gen_negative_limit_exits_2(capsys):
+def test_gen_negative_limit_exits_2(tmp_path, capsys):
     assert main(["gen", TOY_DEMO, "--limit", "-1"]) == 2
     assert "error: limit must be >= 0" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "gen", TOY_DEMO, "--limit", "-1"]) == 2
+    assert "error: limit must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_into_closed_pipe_exits_0():
@@ -258,6 +262,8 @@ def test_duplicate_secondaries_config_exits_2(tmp_path, capsys):
     ({"primary": {"name": "p", "threads": [{"pattern": {
         "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "arena_base": 4096.5}]}},
      "thread field 'arena_base' must be an integer, got 4096.5"),
+    ({"secondaries": {"a": {"generator": "onchip", "threads": 2}}},
+     "secondaries must be a list of workloads, got dict"),
 ])
 def test_mistyped_config_field_exits_2(tmp_path, capsys, override, message):
     p = tmp_path / "typed.json"

@@ -1,15 +1,17 @@
 import os
+import random
+from itertools import accumulate
 
 import pytest
 
 from contend.geometry import preset
 from contend.native import (
+    _KERNELS,
     NativeError,
-    _Runner,
+    _alloc_arena,
     available_cpus,
     bytes_per_pass,
     co_run,
-    measure_stream,
     native_interference_report,
     run_native,
 )
@@ -49,24 +51,71 @@ def test_run_native_accounts_bytes_exactly():
     assert t.elapsed >= DUR
 
 
+def _pass_fn(p, shared=None):
+    return _KERNELS[type(p)](p, shared or {}, False)
+
+
+def _bucket_checksum(n_keys, n_buckets, seed):
+    raw = random.Random(seed).randbytes(4 * n_keys)
+    keys = [int.from_bytes(raw[i:i + 4], "little") for i in range(0, len(raw), 4)]
+    counts = [0] * n_buckets
+    for k in keys:
+        counts[(k * n_buckets) >> 32] += 1
+    starts = list(accumulate(counts, initial=0))[:-1]
+    return (sum(keys) + sum(starts)) % (1 << 64)
+
+
+def _stream_checksum(kind, n):
+    # a, b, c start as i & 0x3FF, that + 1 and that + 2
+    s = sum(i & 0x3FF for i in range(n))
+    return {"copy": s, "scale": 3 * (s + 2 * n), "add": 2 * s + n,
+            "triad": 4 * s + 7 * n}[kind]
+
+
+def _walk_read_checksum(arena_bytes, stride_bytes):
+    # walked arenas start as i & 0xFFFF in word i
+    return sum(i & 0xFFFF for i in range(0, arena_bytes // 8, stride_bytes // 8))
+
+
+@pytest.mark.parametrize("pattern, expected", [
+    pytest.param(StridedWalk(1 << 20, 64, "read"), _walk_read_checksum(1 << 20, 64),
+                 id="read-64"),
+    pytest.param(StridedWalk(1 << 20, 4096, "read"), _walk_read_checksum(1 << 20, 4096),
+                 id="read-4096"),
+    pytest.param(StridedWalk(1 << 20, 64, "write"), 16383 * 16384 // 2, id="write"),
+    pytest.param(StridedWalk(1 << 20, 64, "readwrite"), 16383 * 16384 // 2,
+                 id="readwrite"),
+    *[pytest.param(StreamKernel(kind, 3000), _stream_checksum(kind, 3000), id=kind)
+      for kind in ("copy", "scale", "add", "triad")],
+    pytest.param(BucketSort(5000, 37, seed=7), _bucket_checksum(5000, 37, 7),
+                 id="bucketsort-seed7"),
+    pytest.param(BucketSort(2048, 16, seed=1), _bucket_checksum(2048, 16, 1),
+                 id="bucketsort-seed1"),
+])
+def test_kernel_checksum_closed_form(pattern, expected):
+    run_pass = _pass_fn(pattern)
+    assert [run_pass() for _ in range(3)] == [expected] * 3
+
+
+def test_shared_walk_checksum_closed_form():
+    walk = SharedWalk("s", 1 << 20, 64, start_offset=64 * 1000)
+    run_pass = _pass_fn(walk, {"s": _alloc_arena(1 << 20, False)})
+    assert [run_pass() for _ in range(3)] == [_walk_read_checksum(1 << 20, 64)] * 3
+
+
 def test_pass_checksum_is_invariant():
-    r = _Runner(StreamKernel("triad", 1024), {}, False)
-    r.setup()
-    first = r.run_pass()
-    assert all(r.run_pass() == first for _ in range(3))
-    r2 = _Runner(StreamKernel("triad", 1024), {}, False)
-    r2.setup()
-    assert r2.run_pass() == first
+    run_pass = _pass_fn(StreamKernel("triad", 1024))
+    first = run_pass()
+    assert all(run_pass() == first for _ in range(3))
+    assert _pass_fn(StreamKernel("triad", 1024))() == first
 
 
 def test_bucket_sort_checksum_seeded():
-    a = _Runner(BucketSort(2048, 16, seed=1), {}, False)
-    b = _Runner(BucketSort(2048, 16, seed=1), {}, False)
-    c = _Runner(BucketSort(2048, 16, seed=2), {}, False)
-    for r in (a, b, c):
-        r.setup()
-    assert a.run_pass() == b.run_pass()
-    assert a.run_pass() != c.run_pass()
+    a = _pass_fn(BucketSort(2048, 16, seed=1))
+    b = _pass_fn(BucketSort(2048, 16, seed=1))
+    c = _pass_fn(BucketSort(2048, 16, seed=2))
+    assert a() == b()
+    assert a() != c()
 
 
 def test_walk_op_mixes_run():
@@ -142,23 +191,6 @@ def test_interference_report_full():
     assert [r.secondary for r in rows] == ["idle", "hog"]
     assert rows[1].normalized_bandwidth > 0
     assert rows[1].secondary_result.workload == "hog"
-
-
-def test_measure_stream_refuses_cache_sized_arrays():
-    with pytest.raises(NativeError) as ei:
-        measure_stream("triad", 1024)
-    assert "fit" in str(ei.value)
-
-
-def test_measure_stream_reports_bandwidth():
-    # tiny declared cache so the sizing guard passes quickly
-    bw = measure_stream("triad", 65536, repetitions=2, llc_bytes=262144)
-    assert bw > 0
-
-
-def test_measure_stream_rejects_bad_args():
-    with pytest.raises(NativeError):
-        measure_stream("triad", 65536, repetitions=0, llc_bytes=262144)
 
 
 def test_empty_workload_runs():

@@ -412,7 +412,26 @@ def test_compiled_kernel_loads():
 @given(sim_runs())
 def test_compiled_loop_matches_run(run):
     ws, cfg = run
-    assert simulator._run_compiled(simulator._simcore(), ws, cfg) == simulator._run(ws, cfg)
+    assert simulator._run_compiled(simulator._simcore(), ws, cfg, {}) == simulator._run(ws, cfg)
+
+
+@needs_cc
+def test_interference_report_builds_each_feed_once(monkeypatch):
+    v = gen_stream("triad", 32)
+    off = relocate(gen_offchip_antagonist(TOY, 2, array_bytes=4096), 8192)
+    on = relocate(gen_onchip_antagonist(TOY, 2), 8192)
+    cfg = toy_cfg(per_thread_event_budget=1500)
+    expected = interference_report(v, [off, on], cfg)
+    built = []
+    for cls in (StreamKernel, StridedWalk, SharedWalk):
+        def counted(self, line_shift, limit, line_feed=cls.line_feed):
+            built.append(self)
+            return line_feed(self, line_shift, limit)
+        monkeypatch.setattr(cls, "line_feed", counted)
+    assert interference_report(v, [off, on], cfg) == expected
+    # the triad, the off-chip walk shared by both its threads, and the two
+    # on-chip walks from different offsets
+    assert len(built) == len(set(built)) == 4
 
 
 @settings(max_examples=200, deadline=None)
