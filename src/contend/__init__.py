@@ -7,7 +7,6 @@ natively with pinned threads.
 """
 
 from .geometry import (
-    BitRange,
     CacheGeometry,
     GeometryError,
     PRESETS,
@@ -15,7 +14,6 @@ from .geometry import (
     conflict_stride,
     geometry_from_dict,
     geometry_to_dict,
-    line_of,
     load_geometry,
     preset,
     preset_names,

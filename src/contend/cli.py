@@ -31,7 +31,7 @@ from .native import (
     native_interference_report,
     pinning_supported,
 )
-from .patterns import BucketSort, PatternError, WorkloadSpec, write_trace_csv
+from .patterns import PatternError, WorkloadSpec, write_trace_csv
 from .simulator import SimulationError, interference_report
 
 SIM_HEADER = (
@@ -48,11 +48,11 @@ EXIT_HWCHECK = 3
 
 
 def _reseed(w: WorkloadSpec, seed: int) -> WorkloadSpec:
-    """Derive per-thread bucket-sort seeds from the run seed, deterministically."""
+    """Derive per-thread seeds of seeded patterns from the run seed, deterministically."""
     threads = []
     changed = False
     for i, t in enumerate(w.threads):
-        if isinstance(t.pattern, BucketSort):
+        if hasattr(t.pattern, "seed"):
             mixed = (seed * 1_000_003 + i) & 0xFFFFFFFF
             threads.append(
                 dataclasses.replace(t, pattern=dataclasses.replace(t.pattern, seed=mixed))
@@ -170,9 +170,9 @@ def cmd_preset(args) -> int:
     g = preset(args.name)
     for f in ("name", "line_size", "num_banks", "sets_per_bank", "associativity"):
         print(f"{f}: {getattr(g, f)}")
-    print(f"bank_bits: {g.bank_bits.hi}:{g.bank_bits.lo}" if g.bank_bits
+    print("bank_bits: %d:%d" % g.bank_bits if g.bank_bits
           else "bank_bits: none (single bank)")
-    print(f"set_bits: {g.set_bits.hi}:{g.set_bits.lo}")
+    print("set_bits: %d:%d" % g.set_bits)
     print(f"capacity: {g.capacity}")
     print(f"conflict_stride: {conflict_stride(g)}")
     return 0

@@ -20,6 +20,7 @@ each (primary, secondary) pair occupies disjoint arenas.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .geometry import CacheGeometry, GeometryError, conflict_stride, geometry_to_dict, resolve_geometry
@@ -75,6 +76,15 @@ _SIM_TYPES = {f.name: type(f.default) for f in fields(SimConfig) if f.name != "g
 # generator fields that must be JSON integers (stride may also be null)
 _GENERATOR_INTS = {"threads", "array_bytes", "stride", "n_elems", "n_keys",
                    "n_buckets", "iterations", "seed"}
+# each generator: its function, whether it takes the geometry, and its
+# required and optional config fields; every default lives in the gen_* signature
+_GENERATORS = {
+    "offchip": (gen_offchip_antagonist, True, (), ("threads", "array_bytes", "stride", "op_mix")),
+    "onchip": (gen_onchip_antagonist, True, (), ("threads",)),
+    "sweep": (gen_xeon_samedie_antagonist, True, (), ("threads", "array_bytes")),
+    "stream": (gen_stream, False, ("kind", "n_elems"), ()),
+    "bucketsort": (gen_bucket_sort, False, ("n_keys",), ("n_buckets", "iterations", "seed")),
+}
 
 
 def _build_workload(d: dict, g: CacheGeometry) -> WorkloadSpec:
@@ -82,10 +92,9 @@ def _build_workload(d: dict, g: CacheGeometry) -> WorkloadSpec:
         raise ConfigError(f"workload must be an object, got {type(d).__name__}")
     if "generator" not in d:
         return workload_from_dict(d)
-    kind = d["generator"]
     args = dict(d)
-    args.pop("generator")
-    name_override = args.pop("name", None)
+    kind = args.pop("generator")
+    name = args.pop("name", None)
     for key, value in args.items():
         # bool is an int subclass, so compare exact types
         if key in _GENERATOR_INTS and type(value) is not int and not (
@@ -95,45 +104,30 @@ def _build_workload(d: dict, g: CacheGeometry) -> WorkloadSpec:
                 f"generator {kind!r} field {key!r} must be an integer, "
                 f"got {json.dumps(value)}"
             )
-    try:
-        if kind == "offchip":
-            w = gen_offchip_antagonist(
-                g,
-                n_threads=args.pop("threads", 15),
-                array_bytes=args.pop("array_bytes", 2 * 1024 * 1024),
-                stride=args.pop("stride", None),
-                op_mix=args.pop("op_mix", "read"),
-            )
-        elif kind == "onchip":
-            w = gen_onchip_antagonist(g, n_threads=args.pop("threads", 4))
-        elif kind == "sweep":
-            w = gen_xeon_samedie_antagonist(
-                g,
-                n_threads=args.pop("threads", 1),
-                array_bytes=args.pop("array_bytes", 64 * 1024 * 1024),
-            )
-        elif kind == "stream":
-            w = gen_stream(args.pop("kind"), args.pop("n_elems"))
-        elif kind == "bucketsort":
-            w = gen_bucket_sort(
-                args.pop("n_keys"),
-                args.pop("n_buckets", 10),
-                args.pop("iterations", 10),
-                args.pop("seed", 0),
-            )
-        else:
-            raise ConfigError(f"unknown generator {kind!r}")
-    except KeyError as e:
-        raise ConfigError(f"generator {kind!r} missing required field {e}") from e
-    if args:
-        raise ConfigError(f"generator {kind!r} got unknown fields {sorted(args)}")
-    if name_override is not None:
-        w = WorkloadSpec(str(name_override), w.threads, dict(w.shared_arenas))
-    return w
+    if kind not in _GENERATORS:
+        raise ConfigError(f"unknown generator {kind!r}")
+    gen, takes_geometry, required, optional = _GENERATORS[kind]
+    unknown = args.keys() - {*required, *optional}
+    if unknown:
+        raise ConfigError(f"generator {kind!r} got unknown fields {sorted(unknown)}")
+    for key in required:
+        if key not in args:
+            raise ConfigError(f"generator {kind!r} missing required field {key!r}")
+    # the config's "threads" is the generators' n_threads
+    kwargs = {("n_threads" if k == "threads" else k): v for k, v in args.items()}
+    w = gen(g, **kwargs) if takes_geometry else gen(**kwargs)
+    return w if name is None else _rename(w, str(name))
 
 
 def _rename(w: WorkloadSpec, name: str) -> WorkloadSpec:
     return WorkloadSpec(name, w.threads, dict(w.shared_arenas))
+
+
+def _check_name(name: str, what: str) -> str:
+    """Refuse a name that could leave the output directory when joined into a path."""
+    if not isinstance(name, str) or name in ("", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"{what} {json.dumps(name)} is not usable in a file name")
+    return name
 
 
 def experiment_from_dict(d: dict) -> ExperimentConfig:
@@ -175,7 +169,7 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
     except PatternError as e:
         raise ConfigError(str(e)) from e
 
-    names = [s.name for s in secondaries]
+    names = [_check_name(s.name, "workload name") for s in secondaries]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ConfigError(f"duplicate secondary names {dupes}")
@@ -195,22 +189,27 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
     bad = set(native_over) - {"duration", "pins", "hugepages"}
     if bad:
         raise ConfigError(f"unknown native fields {sorted(bad)}")
-    try:
-        native = NativeOptions(
-            duration=float(native_over.get("duration", 1.0)),
-            pins={str(k): tuple(int(c) for c in v)
-                  for k, v in native_over.get("pins", {}).items()},
-            hugepages=bool(native_over.get("hugepages", False)),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad native section: {e}") from e
+    duration = native_over.get("duration", 1.0)
+    if type(duration) not in (int, float) or not 0 < duration < math.inf:
+        raise ConfigError(f"native field 'duration' must be a positive number of "
+                          f"seconds, got {json.dumps(duration)}")
+    pins = native_over.get("pins", {})
+    if not isinstance(pins, dict) or not all(
+        isinstance(cpus, list) and all(type(c) is int for c in cpus) for cpus in pins.values()
+    ):
+        raise ConfigError(f"native field 'pins' must map workload names to lists "
+                          f"of cpu numbers, got {json.dumps(pins)}")
+    hugepages = native_over.get("hugepages", False)
+    if type(hugepages) is not bool:
+        raise ConfigError(f"native field 'hugepages' must be bool, got {json.dumps(hugepages)}")
+    native = NativeOptions(duration=float(duration), pins=pins, hugepages=hugepages)
     known = {PRIMARY_NAME, *names}
     for pinned in native.pins:
         if pinned not in known:
             raise ConfigError(f"pin target {pinned!r} is not a workload in this experiment")
 
     cfg = ExperimentConfig(
-        name=str(d.get("name", "experiment")),
+        name=_check_name(str(d.get("name", "experiment")), "experiment name"),
         geometry=g,
         sim=sim,
         primary=primary,

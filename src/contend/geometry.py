@@ -1,9 +1,9 @@
 """Cache geometry descriptions and physical-address -> (bank, set) mapping.
 
-A geometry describes a banked set-associative cache by its line size, bank
-count, sets per bank, associativity, and the physical-address bit fields that
-select the bank and the set.  All counts must be powers of two and the bit
-fields must tile the address contiguously above the line-offset bits:
+A geometry describes a banked set-associative cache by four sizes: line size,
+bank count, sets per bank and associativity.  The first three must be powers
+of two, and they fix the physical-address bit fields that select the bank and
+the set, which tile the address contiguously above the line-offset bits:
 
     | tag ... | set bits | bank bits | line offset |
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 MAX_ADDR_BITS = 48
 
@@ -27,40 +28,19 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class BitRange:
-    """Inclusive physical-address bit field [hi:lo], LSB = bit 0."""
-
-    hi: int
-    lo: int
-
-    def __post_init__(self):
-        if self.lo < 0 or self.hi < self.lo:
-            raise GeometryError(f"invalid bit range {self.hi}:{self.lo}")
-        if self.width > MAX_ADDR_BITS:
-            raise GeometryError(
-                f"bit range {self.hi}:{self.lo} wider than {MAX_ADDR_BITS} bits"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
-    def extract(self, addr: int) -> int:
-        return (addr >> self.lo) & ((1 << self.width) - 1)
+def _log2(n: int) -> int:
+    return n.bit_length() - 1
 
 
 @dataclass(frozen=True)
 class CacheGeometry:
-    """A banked set-associative cache; bank_bits is None for one bank."""
+    """A banked set-associative cache, given by its sizes."""
 
     name: str
     line_size: int
     num_banks: int
     sets_per_bank: int
     associativity: int
-    bank_bits: BitRange | None
-    set_bits: BitRange
 
     def __post_init__(self):
         validate_geometry(self)
@@ -74,6 +54,25 @@ class CacheGeometry:
         """Total (bank, set) slots across all banks."""
         return self.num_banks * self.sets_per_bank
 
+    # the derived fields are cached: bank_of and set_of read them per address
+    @cached_property
+    def line_shift(self) -> int:
+        """addr >> line_shift is the line address."""
+        return _log2(self.line_size)
+
+    @cached_property
+    def bank_bits(self) -> tuple[int, int] | None:
+        """Inclusive (hi, lo) address bits that select the bank; None for one bank."""
+        if self.num_banks == 1:
+            return None
+        return self.set_bits[1] - 1, self.line_shift
+
+    @cached_property
+    def set_bits(self) -> tuple[int, int]:
+        """Inclusive (hi, lo) address bits that select the set within a bank."""
+        lo = self.line_shift + _log2(self.num_banks)
+        return lo + _log2(self.sets_per_bank) - 1, lo
+
 
 def validate_geometry(g: CacheGeometry) -> CacheGeometry:
     """Check all structural invariants; returns g unchanged if consistent."""
@@ -84,42 +83,11 @@ def validate_geometry(g: CacheGeometry) -> CacheGeometry:
     ):
         if not _is_pow2(value):
             raise GeometryError(f"{g.name}: {name} must be a power of two, got {value}")
+    # the set field is at least one bit wide
+    if g.sets_per_bank < 2:
+        raise GeometryError(f"{g.name}: sets_per_bank must be >= 2")
     if g.associativity < 1:
         raise GeometryError(f"{g.name}: associativity must be >= 1")
-
-    if (1 << g.set_bits.width) != g.sets_per_bank:
-        raise GeometryError(
-            f"{g.name}: set bits {g.set_bits.hi}:{g.set_bits.lo} encode "
-            f"{1 << g.set_bits.width} sets, geometry says {g.sets_per_bank}"
-        )
-
-    if g.num_banks > 1:
-        if g.bank_bits is None:
-            raise GeometryError(f"{g.name}: {g.num_banks} banks but no bank bits")
-        if (1 << g.bank_bits.width) != g.num_banks:
-            raise GeometryError(
-                f"{g.name}: bank bits {g.bank_bits.hi}:{g.bank_bits.lo} encode "
-                f"{1 << g.bank_bits.width} banks, geometry says {g.num_banks}"
-            )
-        # offset bits end exactly where the bank field starts, and the set
-        # field sits immediately above the bank field
-        if g.line_size != (1 << g.bank_bits.lo):
-            raise GeometryError(
-                f"{g.name}: line_size {g.line_size} != 2^bank_bits.lo"
-            )
-        if g.set_bits.lo != g.bank_bits.hi + 1:
-            raise GeometryError(
-                f"{g.name}: set bits must start at bit {g.bank_bits.hi + 1}, "
-                f"got {g.set_bits.lo}"
-            )
-    else:
-        if g.bank_bits is not None:
-            raise GeometryError(f"{g.name}: single-bank geometry must not set bank_bits")
-        if g.line_size != (1 << g.set_bits.lo):
-            raise GeometryError(
-                f"{g.name}: line_size {g.line_size} != 2^set_bits.lo"
-            )
-
     if g.capacity >= (1 << MAX_ADDR_BITS):
         raise GeometryError(f"{g.name}: capacity {g.capacity} overflows {MAX_ADDR_BITS}-bit addresses")
     return g
@@ -127,17 +95,12 @@ def validate_geometry(g: CacheGeometry) -> CacheGeometry:
 
 def bank_of(addr: int, g: CacheGeometry) -> int:
     """Bank index selected by addr; 0 for single-banked geometries."""
-    return 0 if g.bank_bits is None else g.bank_bits.extract(addr)
+    return (addr >> g.line_shift) & (g.num_banks - 1)
 
 
 def set_of(addr: int, g: CacheGeometry) -> int:
     """Set index within the selected bank."""
-    return g.set_bits.extract(addr)
-
-
-def line_of(addr: int, g: CacheGeometry) -> int:
-    """Line-granular address (addr divided by the line size)."""
-    return addr // g.line_size
+    return (addr >> g.set_bits[1]) & (g.sets_per_bank - 1)
 
 
 def conflict_stride(g: CacheGeometry) -> int:
@@ -149,23 +112,19 @@ def conflict_stride(g: CacheGeometry) -> int:
     return g.line_size * g.num_banks * g.sets_per_bank
 
 
-def _mk(name, line_size, num_banks, sets_per_bank, ways, bank_bits, set_bits):
-    return CacheGeometry(name, line_size, num_banks, sets_per_bank, ways, bank_bits, set_bits)
-
-
 def _builtin_presets() -> dict[str, CacheGeometry]:
     return {
         # Niagara-class 3 MiB L2: 4 banks selected by bits 7:6, 1024 sets
         # per bank from bits 17:8, 12-way, 64 B lines.
-        "t1": _mk("t1", 64, 4, 1024, 12, BitRange(7, 6), BitRange(17, 8)),
+        "t1": CacheGeometry("t1", 64, 4, 1024, 12),
         # 4 MiB follow-on: 8 banks, 16-way; bank field widened to 8:6 and the
         # set field shifted up accordingly (512 sets per bank keeps 256 KiB
         # conflict stride and 4 MiB capacity).
-        "t2": _mk("t2", 64, 8, 512, 16, BitRange(8, 6), BitRange(17, 9)),
+        "t2": CacheGeometry("t2", 64, 8, 512, 16),
         # 6 MiB per-die L2, unbanked: 4096 sets from bits 17:6, 24-way.
-        "harpertown": _mk("harpertown", 64, 1, 4096, 24, None, BitRange(17, 6)),
+        "harpertown": CacheGeometry("harpertown", 64, 1, 4096, 24),
         # Tiny geometry for brute-force oracle tests: 4 KiB total.
-        "toy": _mk("toy", 32, 2, 16, 4, BitRange(5, 5), BitRange(9, 6)),
+        "toy": CacheGeometry("toy", 32, 2, 16, 4),
     }
 
 
@@ -185,6 +144,10 @@ def preset_names() -> list[str]:
     return sorted(PRESETS)
 
 
+def _bits_to_dict(bits: tuple[int, int] | None) -> dict | None:
+    return None if bits is None else {"hi": bits[0], "lo": bits[1]}
+
+
 def geometry_to_dict(g: CacheGeometry) -> dict:
     d = {
         "name": g.name,
@@ -192,30 +155,46 @@ def geometry_to_dict(g: CacheGeometry) -> dict:
         "num_banks": g.num_banks,
         "sets_per_bank": g.sets_per_bank,
         "associativity": g.associativity,
-        "set_bits": {"hi": g.set_bits.hi, "lo": g.set_bits.lo},
+        "set_bits": _bits_to_dict(g.set_bits),
     }
     if g.bank_bits is not None:
-        d["bank_bits"] = {"hi": g.bank_bits.hi, "lo": g.bank_bits.lo}
+        d["bank_bits"] = _bits_to_dict(g.bank_bits)
     return d
 
 
+_SIZES = ("line_size", "num_banks", "sets_per_bank", "associativity")
+
+
 def geometry_from_dict(d: dict) -> CacheGeometry:
-    """Build and validate a geometry from its JSON form (exact field names)."""
-    try:
-        bank_bits = d.get("bank_bits")
-        g = CacheGeometry(
-            name=d["name"],
-            line_size=int(d["line_size"]),
-            num_banks=int(d["num_banks"]),
-            sets_per_bank=int(d["sets_per_bank"]),
-            associativity=int(d["associativity"]),
-            bank_bits=BitRange(int(bank_bits["hi"]), int(bank_bits["lo"])) if bank_bits else None,
-            set_bits=BitRange(int(d["set_bits"]["hi"]), int(d["set_bits"]["lo"])),
-        )
-    except GeometryError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise GeometryError(f"malformed geometry description: {e}") from e
+    """Build and validate a geometry from its JSON form (exact field names).
+
+    bank_bits and set_bits may be left out; when present they must equal the
+    fields that the sizes give.
+    """
+    if not isinstance(d, dict):
+        raise GeometryError(f"geometry must be an object, got {type(d).__name__}")
+    for key in ("name", *_SIZES):
+        if key not in d:
+            raise GeometryError(f"malformed geometry description: missing field {key!r}")
+    if not isinstance(d["name"], str):
+        raise GeometryError(f"geometry field 'name' must be a string, got {json.dumps(d['name'])}")
+    for key in _SIZES:
+        # bool is an int subclass, so compare exact types
+        if type(d[key]) is not int:
+            raise GeometryError(
+                f"geometry field {key!r} must be an integer, got {json.dumps(d[key])}"
+            )
+    g = CacheGeometry(d["name"], *(d[key] for key in _SIZES))
+    for key in ("bank_bits", "set_bits"):
+        if key in d:
+            derived = _bits_to_dict(getattr(g, key))
+            # compared as JSON text, so 17.0 or true does not pass for 17 or 1
+            if json.dumps(d[key], sort_keys=True) != json.dumps(derived, sort_keys=True):
+                raise GeometryError(
+                    f"{g.name}: {key} {json.dumps(d[key])} does not match "
+                    f"{json.dumps(derived)}, which line_size, num_banks and "
+                    f"sets_per_bank give"
+                )
     return g
 
 

@@ -375,7 +375,7 @@ def _hints(cpus, n):
 
 def gen_offchip_antagonist(
     g: CacheGeometry,
-    n_threads: int,
+    n_threads: int = 15,
     array_bytes: int = 2 * MIB,
     stride: int | None = None,
     op_mix: str = "read",
@@ -412,7 +412,7 @@ def gen_offchip_antagonist(
 
 
 def gen_onchip_antagonist(
-    g: CacheGeometry, n_threads: int, base: int = 0, cpus=None
+    g: CacheGeometry, n_threads: int = 4, base: int = 0, cpus=None
 ) -> WorkloadSpec:
     """Whole-cache walkers over one shared capacity-sized arena.
 
@@ -436,7 +436,7 @@ def gen_onchip_antagonist(
 
 
 def gen_xeon_samedie_antagonist(
-    g: CacheGeometry, n_threads: int, array_bytes: int = 64 * MIB, base: int = 0, cpus=None
+    g: CacheGeometry, n_threads: int = 1, array_bytes: int = 64 * MIB, base: int = 0, cpus=None
 ) -> WorkloadSpec:
     """Per-thread sequential line sweep over a huge private array.
 

@@ -102,25 +102,18 @@ class LruBankedCache:
     Values are dirty flags.
     """
 
-    __slots__ = ("sets", "assoc", "_line_shift", "_bank_lo", "_bank_mask",
-                 "_set_lo", "_set_mask", "_spb")
+    __slots__ = ("sets", "assoc", "_line_shift", "_set_mask")
 
     def __init__(self, g: CacheGeometry):
         self.assoc = g.associativity
-        self.sets = [dict() for _ in range(g.num_banks * g.sets_per_bank)]
-        self._line_shift = g.line_size.bit_length() - 1
-        self._bank_lo = g.bank_bits.lo if g.bank_bits is not None else 0
-        self._bank_mask = g.num_banks - 1 if g.bank_bits is not None else 0
-        self._set_lo = g.set_bits.lo
-        self._set_mask = g.sets_per_bank - 1
-        self._spb = g.sets_per_bank
+        self.sets = [dict() for _ in range(g.num_sets)]
+        self._line_shift = g.line_shift
+        self._set_mask = g.num_sets - 1
 
     def access(self, addr: int, is_write: bool) -> tuple[bool, bool]:
         """Returns (hit, dirty_line_evicted); allocates on miss."""
-        idx = (((addr >> self._bank_lo) & self._bank_mask) * self._spb
-               + ((addr >> self._set_lo) & self._set_mask))
-        s = self.sets[idx]
         line = addr >> self._line_shift
+        s = self.sets[line & self._set_mask]   # _simcore.c's index
         if line in s:
             dirty = s.pop(line)
             s[line] = dirty or is_write   # reinsertion refreshes recency
@@ -293,7 +286,7 @@ def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
     (line feed, events) at cfg, and gains the feeds this run builds."""
     g = cfg.geometry
     _check_placement(workloads, g)
-    line_shift = g.line_size.bit_length() - 1
+    line_shift = g.line_shift
     budget = cfg.per_thread_event_budget
     feeds, n_events, base_line, wl = [], [], [], []
     for wi, w in enumerate(workloads):

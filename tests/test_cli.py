@@ -159,6 +159,66 @@ def test_preset_shows_fields(capsys):
     assert "bank_bits: 7:6" in out
 
 
+PRESET_OUTPUT = {
+    "list": """\
+harpertown: 6291456 B, 1 banks x 4096 sets x 24 ways, 64 B lines
+t1: 3145728 B, 4 banks x 1024 sets x 12 ways, 64 B lines
+t2: 4194304 B, 8 banks x 512 sets x 16 ways, 64 B lines
+toy: 4096 B, 2 banks x 16 sets x 4 ways, 32 B lines
+""",
+    "t1": """\
+name: t1
+line_size: 64
+num_banks: 4
+sets_per_bank: 1024
+associativity: 12
+bank_bits: 7:6
+set_bits: 17:8
+capacity: 3145728
+conflict_stride: 262144
+""",
+    "t2": """\
+name: t2
+line_size: 64
+num_banks: 8
+sets_per_bank: 512
+associativity: 16
+bank_bits: 8:6
+set_bits: 17:9
+capacity: 4194304
+conflict_stride: 262144
+""",
+    "harpertown": """\
+name: harpertown
+line_size: 64
+num_banks: 1
+sets_per_bank: 4096
+associativity: 24
+bank_bits: none (single bank)
+set_bits: 17:6
+capacity: 6291456
+conflict_stride: 262144
+""",
+    "toy": """\
+name: toy
+line_size: 32
+num_banks: 2
+sets_per_bank: 16
+associativity: 4
+bank_bits: 5:5
+set_bits: 9:6
+capacity: 4096
+conflict_stride: 1024
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_OUTPUT))
+def test_preset_output_frozen(capsys, name):
+    assert main(["preset", name]) == 0
+    assert capsys.readouterr().out == PRESET_OUTPUT[name]
+
+
 def test_preset_unknown_exits_2(capsys):
     assert main(["preset", "bogus"]) == 2
     assert "unknown preset" in capsys.readouterr().err
@@ -249,6 +309,30 @@ def test_duplicate_secondaries_config_exits_2(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+TOY_GEOMETRY = {"name": "toy", "line_size": 32, "num_banks": 2, "sets_per_bank": 16,
+                "associativity": 4}
+
+# mistyped or unsafe fields that must be refused before anything is written
+UNWRITABLE_CONFIGS = [
+    ({"geometry": {**TOY_GEOMETRY, "associativity": 12.9}},
+     "geometry field 'associativity' must be an integer, got 12.9"),
+    ({"geometry": {**TOY_GEOMETRY, "associativity": True}},
+     "geometry field 'associativity' must be an integer, got true"),
+    ({"geometry": {**TOY_GEOMETRY, "line_size": "64"}},
+     "geometry field 'line_size' must be an integer, got \"64\""),
+    ({"geometry": {**TOY_GEOMETRY, "name": 7}},
+     "geometry field 'name' must be a string, got 7"),
+    ({"geometry": {**TOY_GEOMETRY, "bank_bits": {"hi": 6, "lo": 5}}},
+     "toy: bank_bits {\"hi\": 6, \"lo\": 5} does not match {\"hi\": 5, \"lo\": 5}"),
+    ({"native": {"hugepages": "no"}},
+     "native field 'hugepages' must be bool, got \"no\""),
+    ({"native": {"duration": True}},
+     "native field 'duration' must be a positive number of seconds, got true"),
+    ({"name": "../../escape"},
+     "experiment name \"../../escape\" is not usable in a file name"),
+]
+
+
 @pytest.mark.parametrize("override, message", [
     ({"secondaries": [{"generator": "offchip", "array_bytes": 4096.0}]},
      "generator 'offchip' field 'array_bytes' must be an integer, got 4096.0"),
@@ -264,12 +348,40 @@ def test_duplicate_secondaries_config_exits_2(tmp_path, capsys):
      "thread field 'arena_base' must be an integer, got 4096.5"),
     ({"secondaries": {"a": {"generator": "onchip", "threads": 2}}},
      "secondaries must be a list of workloads, got dict"),
+    *UNWRITABLE_CONFIGS,
 ])
 def test_mistyped_config_field_exits_2(tmp_path, capsys, override, message):
     p = tmp_path / "typed.json"
     p.write_text(json.dumps(toy_config_dict(**override)))
     assert main(["sim", str(p)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", UNWRITABLE_CONFIGS)
+@pytest.mark.parametrize("cmd", ["sim", "emit-config", "gen"])
+def test_refused_config_writes_nothing(tmp_path, capsys, cmd, override, message):
+    p = tmp_path / "cfg" / "typed.json"
+    p.parent.mkdir()
+    p.write_text(json.dumps(toy_config_dict(**override)))
+    out = tmp_path / "a" / "b" / "out"
+    assert main(["--out", str(out), cmd, str(p)]) == 2
+    assert message in capsys.readouterr().err
+    assert [q for q in tmp_path.rglob("*") if q.is_file()] == [p]
+    assert not (tmp_path / "a").exists()
+
+
+def test_unsafe_workload_name_refused():
+    d = toy_config_dict(secondaries=[{"generator": "onchip", "threads": 1, "name": "x/y"}])
+    with pytest.raises(ConfigError, match='workload name "x/y" is not usable'):
+        experiment_from_dict(d)
+
+
+def test_native_fields_keep_their_values():
+    d = toy_config_dict(native={"duration": 2, "hugepages": True, "pins": {"primary": [0]}})
+    native = experiment_from_dict(d).native
+    assert (native.duration, native.hugepages, native.pins) == (2.0, True, {"primary": (0,)})
+    with pytest.raises(ConfigError, match="native field 'pins'"):
+        experiment_from_dict(toy_config_dict(native={"pins": {"primary": ["0"]}}))
 
 
 def test_emit_config_round_trip(tmp_path, capsys):

@@ -4,14 +4,12 @@ import random
 import pytest
 
 from contend.geometry import (
-    BitRange,
     CacheGeometry,
     GeometryError,
     bank_of,
     conflict_stride,
     geometry_from_dict,
     geometry_to_dict,
-    line_of,
     load_geometry,
     preset,
     preset_names,
@@ -19,23 +17,6 @@ from contend.geometry import (
     set_of,
     validate_geometry,
 )
-
-
-def test_bitrange_extract():
-    assert BitRange(7, 6).extract(0xC0) == 3
-    assert BitRange(7, 6).extract(0x40) == 1
-    assert BitRange(17, 8).extract(0x100) == 1
-    assert BitRange(5, 5).extract(0x20) == 1
-    assert BitRange(3, 0).extract(0xAB) == 0xB
-
-
-def test_bitrange_validation():
-    with pytest.raises(GeometryError):
-        BitRange(5, 6)          # hi < lo
-    with pytest.raises(GeometryError):
-        BitRange(-1, 0)
-    with pytest.raises(GeometryError):
-        BitRange(80, 0)         # wider than the address space
 
 
 def test_preset_names():
@@ -57,15 +38,15 @@ def test_unknown_preset():
 def test_t1_field_layout():
     g = preset("t1")
     assert (g.line_size, g.num_banks, g.sets_per_bank, g.associativity) == (64, 4, 1024, 12)
-    assert (g.bank_bits.hi, g.bank_bits.lo) == (7, 6)
-    assert (g.set_bits.hi, g.set_bits.lo) == (17, 8)
+    assert g.bank_bits == (7, 6)
+    assert g.set_bits == (17, 8)
 
 
 def test_harpertown_single_bank():
     g = preset("harpertown")
     assert g.num_banks == 1
     assert g.bank_bits is None
-    assert (g.set_bits.hi, g.set_bits.lo) == (17, 6)
+    assert g.set_bits == (17, 6)
     assert bank_of(0xDEADBEEF, g) == 0
 
 
@@ -79,7 +60,6 @@ def test_mapping_hand_values():
     # 0x12345678: bank = bits 7:6 of 0x78 = 1; set = 0x123456 & 0x3ff = 86
     assert bank_of(0x12345678, g) == 1
     assert set_of(0x12345678, g) == 86
-    assert line_of(0x12345678, g) == 0x12345678 >> 6
 
 
 def test_conflict_strides():
@@ -121,26 +101,46 @@ def test_capacity_formula():
 
 def test_validate_rejects_non_power_of_two():
     with pytest.raises(GeometryError):
-        CacheGeometry("x", 48, 4, 1024, 12, BitRange(7, 6), BitRange(17, 8))
+        CacheGeometry("x", 48, 4, 1024, 12)
     with pytest.raises(GeometryError):
-        CacheGeometry("x", 64, 3, 1024, 12, BitRange(7, 6), BitRange(17, 8))
+        CacheGeometry("x", 64, 3, 1024, 12)
     with pytest.raises(GeometryError):
-        CacheGeometry("x", 64, 4, 1000, 12, BitRange(7, 6), BitRange(17, 8))
+        CacheGeometry("x", 64, 4, 1000, 12)
+
+
+def test_validate_rejects_one_set_per_bank():
+    # a set field is at least one bit wide
+    with pytest.raises(GeometryError):
+        CacheGeometry("x", 64, 4, 1, 12)
 
 
 def test_validate_rejects_inconsistent_bits():
-    # set field must be exactly log2(sets_per_bank) wide
-    with pytest.raises(GeometryError):
-        CacheGeometry("x", 64, 4, 1024, 12, BitRange(7, 6), BitRange(16, 8))
-    # bank field must sit directly above the line offset
-    with pytest.raises(GeometryError):
-        CacheGeometry("x", 64, 4, 1024, 12, BitRange(8, 7), BitRange(18, 9))
-    # set field must sit directly above the bank field
-    with pytest.raises(GeometryError):
-        CacheGeometry("x", 64, 4, 1024, 12, BitRange(7, 6), BitRange(18, 9))
-    # a single-bank cache has no bank field at all
-    with pytest.raises(GeometryError):
-        CacheGeometry("x", 64, 1, 4096, 24, BitRange(6, 6), BitRange(18, 7))
+    for name, key, bits in [
+        # set field one bit too narrow for 1024 sets
+        ("t1", "set_bits", {"hi": 16, "lo": 8}),
+        # bank field not directly above the line offset
+        ("t1", "bank_bits", {"hi": 8, "lo": 7}),
+        # set field not directly above the bank field
+        ("t1", "set_bits", {"hi": 18, "lo": 9}),
+        # a single-bank cache has no bank field at all
+        ("harpertown", "bank_bits", {"hi": 6, "lo": 6}),
+        # null where the cache has banks
+        ("t1", "bank_bits", None),
+        # the right numbers, but not as JSON integers
+        ("t1", "set_bits", {"hi": 17.0, "lo": 8}),
+    ]:
+        d = geometry_to_dict(preset(name))
+        d[key] = bits
+        with pytest.raises(GeometryError, match=f"{name}: {key} "):
+            geometry_from_dict(d)
+
+
+def test_geometry_without_bit_fields_loads_as_preset():
+    for name in preset_names():
+        d = geometry_to_dict(preset(name))
+        del d["set_bits"]
+        d.pop("bank_bits", None)
+        assert geometry_from_dict(d) == preset(name)
 
 
 def test_validate_geometry_passes_presets():

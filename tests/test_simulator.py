@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contend import simulator
-from contend.geometry import BitRange, CacheGeometry, conflict_stride, preset
+from contend.geometry import CacheGeometry, conflict_stride, preset
 from contend.patterns import (
     BucketSort,
     SharedWalk,
@@ -335,15 +335,9 @@ def test_config_validation():
 
 @st.composite
 def geometries(draw):
-    line_shift = draw(st.integers(2, 6))
-    bank_bits = draw(st.integers(0, 2))
-    set_bits = draw(st.integers(1, 4))
-    set_lo = line_shift + bank_bits
     return CacheGeometry(
-        "random", 1 << line_shift, 1 << bank_bits, 1 << set_bits,
-        draw(st.integers(1, 5)),
-        BitRange(set_lo - 1, line_shift) if bank_bits else None,
-        BitRange(set_lo + set_bits - 1, set_lo),
+        "random", 1 << draw(st.integers(2, 6)), 1 << draw(st.integers(0, 2)),
+        1 << draw(st.integers(1, 4)), draw(st.integers(1, 5)),
     )
 
 
