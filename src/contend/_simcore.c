@@ -5,8 +5,16 @@
  * feed[i][0 .. feed_len[i]); entry e names line base_line[i] + (e >> 1),
  * written when e & 1.  The cache index is line & set_mask: with the bank
  * and set fields directly above the line offset, that is a bijection with
- * the (bank, set) pairs.  Threads are popped in (ready time, id) order, so
- * ids numbered in (workload, thread) order break ties as _run does.
+ * the (bank, set) pairs.  Each set keeps its ways most recent first, as
+ * line << 1 | dirty, so lines must stay below 2^63.
+ *
+ * Threads run in (ready time, id) order, so ids numbered in (workload,
+ * thread) order break ties as _run does.  That order needs no heap, only
+ * two FIFO queues, each already sorted: after a hit a thread is ready at
+ * now + hit_latency, and now never decreases; after a miss it is ready at
+ * dq + mem_latency, and the one FIFO controller's dequeue time dq grows by
+ * at least interval per miss.  Several misses in flight per thread, or bus
+ * stages in front of the controller (ROADMAP item 2), break this.
  *
  * Counters are per workload (wl[i] is thread i's); totals receives the
  * whole run's elapsed cycles and serviced controller lines.  labels is NULL
@@ -15,25 +23,11 @@
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-static int before(const int64_t *t, int a, int b)
-{
-    return t[a] < t[b] || (t[a] == t[b] && a < b);
-}
-
-static void sift_down(int *heap, int n, const int64_t *t, int i)
-{
-    for (;;) {
-        int l = 2 * i + 1, m = i;
-        if (l < n && before(t, heap[l], heap[m])) m = l;
-        if (l + 1 < n && before(t, heap[l + 1], heap[m])) m = l + 1;
-        if (m == i) return;
-        int x = heap[i];
-        heap[i] = heap[m];
-        heap[m] = x;
-        i = m;
-    }
-}
+struct thread {
+    int64_t t, done, pos, label_at;  /* ready time, events done, feed index, first label */
+};
 
 int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_len,
                 const int64_t *n_events, const uint64_t *base_line, const int32_t *wl,
@@ -43,72 +37,61 @@ int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_
                 int64_t *written_back, int64_t *finish, int64_t *totals,
                 uint8_t *labels)
 {
-    uint64_t n_slots = (set_mask + 1) * (uint64_t)assoc;
-    uint64_t *tag = malloc(n_slots * sizeof *tag);
-    uint64_t *stamp = malloc(n_slots * sizeof *stamp);
-    uint8_t *dirty = malloc(n_slots);
+    uint64_t *ways = malloc((set_mask + 1) * (uint64_t)assoc * sizeof *ways);
     int64_t *fill = calloc(set_mask + 1, sizeof *fill);
-    int64_t *t = calloc(n_threads + 1, sizeof *t);
-    int64_t *done = calloc(n_threads + 1, sizeof *done);
-    int64_t *pos = calloc(n_threads + 1, sizeof *pos);
-    int64_t *label_at = calloc(n_threads + 1, sizeof *label_at);
-    int *heap = malloc((n_threads + 1) * sizeof *heap);
-    int ok = tag && stamp && dirty && fill && t && done && pos && label_at && heap;
+    struct thread *th = calloc(n_threads + 1, sizeof *th);
+    /* the hit and miss queues: rings of thread ids, heads and tails count up */
+    uint32_t ring = 1, hh = 0, ht = 0, mh = 0, mt = 0;
+    while (ring < (uint32_t)n_threads) ring <<= 1;
+    int *hq = calloc(ring, sizeof *hq), *mq = calloc(ring, sizeof *mq);
+    int ok = ways && fill && th && hq && mq;
 
-    int n = ok ? n_threads : 0;
-    for (int i = 0; i < n; i++) {
-        heap[i] = i;  /* all ready at 0: id order is already a heap */
-        if (i > 0) label_at[i] = label_at[i - 1] + n_events[i - 1];
+    for (int i = 0; ok && i < n_threads; i++) {
+        if (i > 0) th[i].label_at = th[i - 1].label_at + n_events[i - 1];
+        if (n_events[i] > 0) hq[ht++] = i;  /* all ready at 0, in id order */
     }
-    uint64_t clock = 0;
     int64_t mc_free = 0, last_dequeue = 0, serviced = 0;
-    while (n > 0) {
-        int id = heap[0], w = wl[id];
-        int64_t now = t[id];
-        if (done[id] == n_events[id]) {
-            if (now > finish[w]) finish[w] = now;
-            heap[0] = heap[--n];
-            sift_down(heap, n, t, 0);
-            continue;
-        }
-        uint32_t e = feed[id][pos[id]];
-        if (++pos[id] == feed_len[id]) pos[id] = 0;
+    while (hh != ht || mh != mt) {
+        int h = hq[hh & (ring - 1)], m = mq[mh & (ring - 1)];
+        int from_hits = mh == mt || (hh != ht && (th[h].t < th[m].t
+                                                  || (th[h].t == th[m].t && h < m)));
+        int id = from_hits ? h : m, w = wl[id];
+        if (from_hits) hh++; else mh++;
+        struct thread *p = th + id;
+        int64_t now = p->t;
+
+        uint32_t e = feed[id][p->pos];
+        if (++p->pos == feed_len[id]) p->pos = 0;
         uint64_t line = base_line[id] + (e >> 1);
-        uint64_t set = line & set_mask, first = set * (uint64_t)assoc;
-        uint64_t *set_tag = tag + first, *set_stamp = stamp + first;
-        uint8_t *set_dirty = dirty + first;
-        int64_t *set_fill = fill + set;
+        uint64_t *set = ways + (line & set_mask) * (uint64_t)assoc;
+        int64_t *set_fill = fill + (line & set_mask);
         int64_t way = 0;
-        while (way < *set_fill && set_tag[way] != line) way++;
+        while (way < *set_fill && set[way] >> 1 != line) way++;
         int hit = way < *set_fill, wrote_back = 0;
+        uint64_t entry = line << 1 | (e & 1);
         if (hit) {
-            set_dirty[way] |= e & 1;
-        } else {
-            if (*set_fill < assoc) {
-                way = (*set_fill)++;
-            } else {  /* evict the least recently used way */
-                way = 0;
-                for (int64_t j = 1; j < assoc; j++)
-                    if (set_stamp[j] < set_stamp[way]) way = j;
-                wrote_back = set_dirty[way];
-            }
-            set_tag[way] = line;
-            set_dirty[way] = e & 1;
+            entry |= set[way];
+        } else if (*set_fill < assoc) {
+            way = (*set_fill)++;
+        } else {  /* evict the least recently used way */
+            way = assoc - 1;
+            wrote_back = set[way] & 1;
         }
-        set_stamp[way] = ++clock;
-        if (labels) labels[label_at[id] + done[id]] = (uint8_t)hit;
-        done[id]++;
+        memmove(set + 1, set, way * sizeof *set);
+        set[0] = entry;
+
+        if (labels) labels[p->label_at + p->done] = (uint8_t)hit;
         accesses[w]++;
         if (hit) {
             hits[w]++;
-            t[id] = now + hit_latency;
+            p->t = now + hit_latency;
         } else {
             int64_t dq = mc_free > now ? mc_free : now;
             mc_free = dq + interval;
             last_dequeue = dq;
             serviced++;
             fetched[w]++;
-            t[id] = dq + mem_latency;
+            p->t = dq + mem_latency;
             if (wrote_back) {
                 written_back[w]++;
                 if (wb_slot) {
@@ -118,7 +101,13 @@ int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_
                 }
             }
         }
-        sift_down(heap, n, t, 0);
+        if (++p->done == n_events[id]) {  /* done: not queued again */
+            if (p->t > finish[w]) finish[w] = p->t;
+        } else if (hit) {
+            hq[ht++ & (ring - 1)] = id;
+        } else {
+            mq[mt++ & (ring - 1)] = id;
+        }
     }
     if (ok) {
         int64_t elapsed = last_dequeue;
@@ -127,14 +116,10 @@ int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_
         totals[0] = elapsed;
         totals[1] = serviced;
     }
-    free(tag);
-    free(stamp);
-    free(dirty);
+    free(ways);
     free(fill);
-    free(t);
-    free(done);
-    free(pos);
-    free(label_at);
-    free(heap);
+    free(th);
+    free(hq);
+    free(mq);
     return ok ? 0 : -1;
 }

@@ -173,6 +173,9 @@ def geometry_from_dict(d: dict) -> CacheGeometry:
     """
     if not isinstance(d, dict):
         raise GeometryError(f"geometry must be an object, got {type(d).__name__}")
+    for key in d:
+        if key not in ("name", *_SIZES, "bank_bits", "set_bits"):
+            raise GeometryError(f"unknown geometry field {json.dumps(key)}")
     for key in ("name", *_SIZES):
         if key not in d:
             raise GeometryError(f"malformed geometry description: missing field {key!r}")

@@ -623,7 +623,11 @@ def workload_from_dict(d: dict) -> WorkloadSpec:
             if type(base) is not int:
                 raise PatternError(f"thread field 'arena_base' must be an integer, "
                                    f"got {json.dumps(base)}")
-            threads.append(ThreadSpec(pattern, base, t.get("cpu_hint")))
+            hint = t.get("cpu_hint")
+            if hint is not None and (type(hint) is not int or hint < 0):
+                raise PatternError(f"thread field 'cpu_hint' must be null or a non-negative "
+                                   f"integer, got {json.dumps(hint)}")
+            threads.append(ThreadSpec(pattern, base, hint))
         return WorkloadSpec(d["name"], threads, dict(d.get("shared_arenas", {})))
     except (KeyError, TypeError) as e:
         raise PatternError(f"malformed workload description: {e}") from e

@@ -133,6 +133,10 @@ def _check_placement(workloads: list[WorkloadSpec], g: CacheGeometry) -> None:
     for w in workloads:
         validate_workload(w, g.line_size)
         for lo, hi in w.arena_intervals():
+            if lo < 0 or hi > 1 << 63:   # the compiled loop caches line << 1 | dirty
+                raise SimulationError(
+                    f"an arena of {w.name!r} spans bytes [{lo}, {hi}), outside [0, 2**63)"
+                )
             if (hi - lo + g.line_size - 1) // g.line_size >= MAX_ARENA_LINES:
                 raise SimulationError(
                     f"an arena of {w.name!r} spans {hi - lo} bytes, "

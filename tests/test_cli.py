@@ -330,6 +330,14 @@ UNWRITABLE_CONFIGS = [
      "native field 'duration' must be a positive number of seconds, got true"),
     ({"name": "../../escape"},
      "experiment name \"../../escape\" is not usable in a file name"),
+    ({"geometry": {**TOY_GEOMETRY, "bank_bit": {"hi": 5, "lo": 5}}},
+     "unknown geometry field \"bank_bit\""),
+    ({"primary": {"name": "p", "threads": [{"pattern": {
+        "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "cpu_hint": "x"}]}},
+     "thread field 'cpu_hint' must be null or a non-negative integer, got \"x\""),
+    ({"primary": {"name": "p", "threads": [{"pattern": {
+        "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "cpu_hint": True}]}},
+     "thread field 'cpu_hint' must be null or a non-negative integer, got true"),
 ]
 
 
@@ -349,6 +357,9 @@ UNWRITABLE_CONFIGS = [
     ({"secondaries": {"a": {"generator": "onchip", "threads": 2}}},
      "secondaries must be a list of workloads, got dict"),
     *UNWRITABLE_CONFIGS,
+    ({"primary": {"name": "p", "threads": [{"pattern": {
+        "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "arena_base": 2**70}]}},
+     f"an arena of 'primary' spans bytes [{2**70}, {2**70 + 192}), outside [0, 2**63)"),
 ])
 def test_mistyped_config_field_exits_2(tmp_path, capsys, override, message):
     p = tmp_path / "typed.json"

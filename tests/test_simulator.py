@@ -409,6 +409,36 @@ def test_compiled_loop_matches_run(run):
     assert simulator._run_compiled(simulator._simcore(), ws, cfg, {}) == simulator._run(ws, cfg)
 
 
+def fixed_runs():
+    # past the 18 threads that sim_runs draws: dozens of threads wait in each
+    # of the compiled loop's two ready queues, whose rings wrap many times
+    many = pack([gen_stream("triad", 64),
+                 gen_offchip_antagonist(TOY, 40, array_bytes=5 * conflict_stride(TOY),
+                                        op_mix="readwrite"),
+                 gen_onchip_antagonist(TOY, 29)], 4096)
+    yield pytest.param(many, toy_cfg(mem_latency=150, mc_service_interval=2,
+                                     per_thread_event_budget=400, record_hit_miss=True),
+                       id="70-threads")
+    # with mem_latency == hit_latency, a thread back from a miss and one after
+    # a hit are often ready in the same cycle: the lower id goes first
+    few = pack([gen_stream("triad", 48),
+                gen_offchip_antagonist(TOY, 6, array_bytes=2 * conflict_stride(TOY)),
+                gen_onchip_antagonist(TOY, 5)], 4096)
+    for interval in (1, 2, 5):
+        yield pytest.param(few, toy_cfg(hit_latency=4, mem_latency=4,
+                                        mc_service_interval=interval,
+                                        per_thread_event_budget=300, record_hit_miss=True),
+                           id=f"latencies-tie-{interval}")
+
+
+@needs_cc
+@pytest.mark.parametrize("ws, cfg", fixed_runs())
+def test_compiled_loop_matches_run_on_fixed_runs(ws, cfg):
+    raw = simulator._run(ws, cfg)
+    assert 0 < sum(raw["hits"]) < sum(raw["accesses"])
+    assert simulator._run_compiled(simulator._simcore(), ws, cfg, {}) == raw
+
+
 @needs_cc
 def test_interference_report_builds_each_feed_once(monkeypatch):
     v = gen_stream("triad", 32)
@@ -451,10 +481,13 @@ def test_fallback_gives_identical_results(monkeypatch, mem_latency, interval):
     on = relocate(gen_onchip_antagonist(TOY, 3), 32768)
     cfg = toy_cfg(mem_latency=mem_latency, mc_service_interval=interval,
                   per_thread_event_budget=700, record_hit_miss=True)
-    # one set written to thrash: dirty evictions to the very end
-    thrash = WorkloadSpec("thrash", (ThreadSpec(StridedWalk(8192, 1024, "write"), 65536),))
+    # two writers thrash one 4-way set with 16 lines: once it is full, every
+    # access evicts a dirty line, to the very end
+    thrash = WorkloadSpec("thrash", (ThreadSpec(StridedWalk(8192, 1024, "write"), 65536),
+                                     ThreadSpec(StridedWalk(8192, 1024, "write"), 73728)))
     runs = ([v], [thrash], [v, off], [v, on])
     compiled = [simulate(ws, cfg) for ws in runs]
+    assert compiled[1].metrics("thrash").lines_written_back == 2 * 700 - TOY.associativity
     monkeypatch.setattr(simulator, "_simcore", lambda: None)
     python = [simulate(ws, cfg) for ws in runs]
     assert compiled == python
@@ -476,3 +509,13 @@ def test_arena_of_2_31_lines_refused():
     at = WorkloadSpec("w", (ThreadSpec(StridedWalk(lines * 32, lines * 32)),))
     with pytest.raises(SimulationError, match="2147483648 lines"):
         simulate([at], toy_cfg())
+
+
+def test_arena_outside_63_bits_refused():
+    # the compiled loop packs a cached line with its dirty bit into 64 bits
+    top = WorkloadSpec("w", (ThreadSpec(StridedWalk(64, 32), (1 << 63) - 64),))
+    assert simulate([top], toy_cfg(per_thread_event_budget=4)).metrics("w").misses == 2
+    for base in ((1 << 63) - 32, 1 << 70, -64):
+        w = WorkloadSpec("w", (ThreadSpec(StridedWalk(64, 32), base),))
+        with pytest.raises(SimulationError, match=r"outside \[0, 2\*\*63\)"):
+            simulate([w], toy_cfg())
