@@ -14,11 +14,18 @@ simulate runs the event loop compiled from _simcore.c, built with the
 system C compiler on first use and cached under $XDG_CACHE_HOME/contend
 (default ~/.cache/contend).  Without a compiler it falls back to _run, the
 pure-Python loop that is also the compiled loop's reference.
+
+The runs behind one result (a co-run and the solo runs that give its
+baselines, or every run of an interference report) are independent, so
+_run_many checks them all and builds each line feed once, then runs the
+compiled loops side by side on the CPUs this process may use.  Every result
+is the one a serial run gives.
 """
 
 from __future__ import annotations
 
 import atexit
+import collections
 import ctypes
 import functools
 import hashlib
@@ -28,16 +35,22 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import CacheGeometry, bank_of, set_of, validate_geometry
+from .native import available_cpus
 from .patterns import WorkloadSpec, iter_ops, validate_workload
 
 # a line feed entry holds line << 1 | is_write in 32 bits
 MAX_ARENA_LINES = 1 << 31
+# the runaway guard: a plan of runs is refused above this many events, or
+# when its distinct patterns' line feeds could take more than this many bytes
+MAX_PLAN_EVENTS = 1 << 32
+MAX_FEED_BYTES = 256 << 20
 
 
 class SimulationError(ValueError):
@@ -284,24 +297,26 @@ def _simcore():
     return fn
 
 
+def _line_feed(pattern, line_shift: int, budget: int) -> tuple[np.ndarray, int]:
+    """pattern's (line feed, events) at budget, checked for the kernel."""
+    feed, n = pattern.line_feed(line_shift, budget)
+    # the kernel reads feed[0 .. len) as contiguous uint32
+    if feed.dtype != np.uint32 or not feed.flags.c_contiguous or (n and not len(feed)):
+        raise SimulationError(f"unusable line feed from {pattern!r}")
+    return feed, n
+
+
 def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
                   feed_of: dict) -> dict:
-    """_run's result from the compiled loop; feed_of maps each pattern to its
-    (line feed, events) at cfg, and gains the feeds this run builds."""
+    """_run's result from the compiled loop, for workloads whose placement
+    _run_many has checked; feed_of maps each of their patterns to its
+    (line feed, events) at cfg."""
     g = cfg.geometry
-    _check_placement(workloads, g)
     line_shift = g.line_shift
-    budget = cfg.per_thread_event_budget
     feeds, n_events, base_line, wl = [], [], [], []
     for wi, w in enumerate(workloads):
         for t in w.threads:
-            if t.pattern not in feed_of:   # equal patterns share a feed
-                feed, n = t.pattern.line_feed(line_shift, budget)
-                # the kernel reads feed[0 .. len) as contiguous uint32
-                if feed.dtype != np.uint32 or not feed.flags.c_contiguous or (n and not len(feed)):
-                    raise SimulationError(f"unusable line feed from {t.pattern!r}")
-                feed_of[t.pattern] = feed, n
-            feed, n = feed_of[t.pattern]
+            feed, n = feed_of[t.pattern]   # equal patterns share a feed
             feeds.append(feed)
             n_events.append(n)
             base_line.append(w.base_of(t) >> line_shift)
@@ -338,14 +353,95 @@ def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
     }
 
 
-def _timed_run(workloads: list[WorkloadSpec], cfg: SimConfig, feed_of: dict) -> dict:
-    """One raw timed run, compiled when the kernel is available and every
-    cycle count fits its 64-bit counters; feed_of is _run_compiled's."""
-    kernel = _simcore()
-    events = cfg.per_thread_event_budget * sum(len(w.threads) for w in workloads)
-    if kernel is None or events * (cfg.mem_latency + 2 * cfg.mc_service_interval) >= 1 << 63:
-        return _run(workloads, cfg)
-    return _run_compiled(kernel, workloads, cfg, feed_of)
+def _this_cpu() -> int | None:
+    """The CPU the calling thread runs on, or None where libc cannot say."""
+    try:
+        cpu = ctypes.CDLL(None).sched_getcpu()
+    except (AttributeError, OSError):
+        return None
+    return cpu if cpu >= 0 else None
+
+
+def _pin(cpus: set[int]) -> None:
+    """Keep the calling thread on cpus where the host allows it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):   # not pinnable here: the scheduler places it
+        pass
+
+
+def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
+    """The raw result of each run, in the order given.
+
+    In the calling thread: build the kernel, check every run's placement in
+    order, refuse a runaway plan, and build each distinct pattern's line feed
+    once.  Then one worker per allowed CPU, the caller among them, takes the
+    longest run left until none is; the compiled loop releases the
+    interpreter lock, so the loops run side by side.  The first failure in
+    run order is raised once every worker has stopped.
+
+    A new thread starts on its creator's CPU, and Linux may leave both there
+    for longer than a run takes: on a 2-vCPU VM, unpinned workers shared one
+    vCPU for whole reports while the other idled.  So each helper is pinned
+    to the allowed CPUs other than the caller's when the call starts.  The
+    caller itself is never pinned and no CPU is picked by its number, so
+    concurrent callers spread as the scheduler places them.
+    """
+    kernel = _simcore()   # before any thread: functools.cache is not a lock
+    g = cfg.geometry
+    for ws in runs:
+        _check_placement(ws, g)
+    budget = cfg.per_thread_event_budget
+    events = [budget * sum(len(w.threads) for w in ws) for ws in runs]
+    patterns = dict.fromkeys(t.pattern for ws in runs for w in ws for t in w.threads)
+    feed_bytes = len(patterns) * budget * 4
+    if sum(events) > MAX_PLAN_EVENTS or feed_bytes > MAX_FEED_BYTES:
+        raise SimulationError(
+            f"refusing to simulate {sum(events)} events with line feeds of up to "
+            f"{feed_bytes} bytes ({len(patterns)} distinct patterns x budget {budget} "
+            f"x 4 B); the bounds are {MAX_PLAN_EVENTS} events and {MAX_FEED_BYTES} bytes"
+        )
+    # the compiled loop counts cycles in int64; a run that could pass it takes _run
+    compiled = [kernel is not None
+                and n * (cfg.mem_latency + 2 * cfg.mc_service_interval) < 1 << 63
+                for n in events]
+    feed_of = {p: _line_feed(p, g.line_shift, budget) for p in patterns} if kernel else {}
+
+    raws, errors = [None] * len(runs), {}
+    # longest first; sorted is stable, so equal runs keep their order
+    todo = collections.deque(sorted(range(len(runs)), key=events.__getitem__, reverse=True))
+
+    def work(cpus=None):
+        if cpus:
+            _pin(cpus)
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:
+                return
+            try:
+                raws[i] = (_run_compiled(kernel, runs[i], cfg, feed_of) if compiled[i]
+                           else _run(runs[i], cfg))
+            except Exception as e:   # a thread's own exception would be lost
+                errors[i] = e
+                todo.clear()
+
+    mask = available_cpus()
+    n_workers = min(len(mask), len(runs)) if kernel else 1
+    away = mask - {_this_cpu()} if n_workers > 1 else None
+    helpers = [threading.Thread(target=work, args=(away,)) for _ in range(n_workers - 1)]
+    try:
+        for t in helpers:
+            t.start()
+        work()
+    finally:
+        todo.clear()
+        for t in helpers:
+            if t.ident is not None:
+                t.join()
+    if errors:
+        raise errors[min(errors)]
+    return raws
 
 
 def _build_result(workloads, cfg, raw, solo_elapsed) -> SimResult:
@@ -395,23 +491,15 @@ def simulate(
     baselines maps workload name to a precomputed solo elapsed_cycles and
     saves the internal baseline runs when given.
     """
-    return _simulate(list(workloads), cfg, baselines, {})
-
-
-def _simulate(workloads: list[WorkloadSpec], cfg: SimConfig,
-              baselines: dict[str, int] | None, feed_of: dict) -> SimResult:
-    """simulate, building each pattern's line feed only if feed_of lacks it."""
+    workloads = list(workloads)
     if not workloads:
         raise SimulationError("need at least one workload")
-    raw = _timed_run(workloads, cfg, feed_of)
     solo_elapsed = dict(baselines or {})
-    for i, w in enumerate(workloads):
-        if w.name in solo_elapsed:
-            continue
-        if len(workloads) == 1:
-            solo_elapsed[w.name] = raw["finish"][i]
-        else:
-            solo_elapsed[w.name] = _timed_run([w], cfg, feed_of)["finish"][0]
+    alone = [w for w in workloads if w.name not in solo_elapsed] if len(workloads) > 1 else []
+    raw, *solos = _run_many([workloads, *([w] for w in alone)], cfg)
+    for w, solo in zip(alone, solos):
+        solo_elapsed[w.name] = solo["finish"][0]
+    solo_elapsed.setdefault(workloads[0].name, raw["finish"][0])   # a lone workload
     return _build_result(workloads, cfg, raw, solo_elapsed)
 
 
@@ -436,12 +524,15 @@ def interference_report(
     names = [s.name for s in secondaries]
     if len(set(names)) != len(names) or primary.name in names:
         raise SimulationError("secondary names must be unique and differ from the primary")
-    feed_of = {}   # each distinct pattern's feed, built once for the report
-    solo = _simulate([primary], cfg, None, feed_of)
-    baselines = {primary.name: solo.metrics(primary.name).elapsed_cycles}
+    n = len(secondaries)
+    raws = _run_many([[primary], *([primary, s] for s in secondaries),
+                      *([s] for s in secondaries)], cfg)
+    solo_elapsed = {w.name: raw["finish"][0]
+                    for w, raw in zip([primary, *secondaries], [raws[0], *raws[n + 1:]])}
+    solo = _build_result([primary], cfg, raws[0], solo_elapsed)
     rows = [InterferenceRow("idle", solo.metrics(primary.name), None)]
-    for s in secondaries:
-        res = _simulate([primary, s], cfg, baselines, feed_of)
+    for s, raw in zip(secondaries, raws[1:n + 1]):
+        res = _build_result([primary, s], cfg, raw, solo_elapsed)
         rows.append(
             InterferenceRow(s.name, res.metrics(primary.name), res.metrics(s.name))
         )

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from contend import simulator
 from contend.cli import main
 from contend.experiment import (
     ConfigError,
@@ -307,6 +308,38 @@ def test_duplicate_secondaries_config_exits_2(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert main(["run", str(p), "--mode", "sim"]) == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+# the probes behind the runaway guard: both once ran until they were killed
+RUNAWAY_CONFIGS = [
+    pytest.param({"sim": {"per_thread_event_budget": 5000},
+                  "secondaries": [{"generator": "onchip", "threads": 100000}]},
+                 "refusing to simulate 1000010000 events with line feeds of up to "
+                 "983060000 bytes (49153 distinct patterns x budget 5000 x 4 B)",
+                 id="onchip-100000-threads"),
+    pytest.param({"sim": {"per_thread_event_budget": 2 * 10**9},
+                  "secondaries": [{"generator": "offchip", "threads": 15}]},
+                 "refusing to simulate 64000000000 events",
+                 id="budget-2e9"),
+]
+
+
+@pytest.mark.parametrize("override, message", RUNAWAY_CONFIGS)
+def test_runaway_config_refused_before_any_loop(tmp_path, capsys, monkeypatch,
+                                                override, message):
+    def never(*args):
+        raise AssertionError("a runaway config reached a feed or a loop")
+
+    for name in ("_line_feed", "_run_compiled", "_run"):
+        monkeypatch.setattr(simulator, name, never)
+    p = tmp_path / "runaway.json"
+    p.write_text(json.dumps(toy_config_dict(
+        geometry="t1", primary={"generator": "stream", "kind": "triad", "n_elems": 1024},
+        **override)))
+    assert main(["run", str(p), "--mode", "sim"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "the bounds are 4294967296 events and 268435456 bytes" in err
 
 
 TOY_GEOMETRY = {"name": "toy", "line_size": 32, "num_banks": 2, "sets_per_bank": 16,

@@ -1,5 +1,8 @@
+import os
 import random
 import shutil
+import sys
+import threading
 from itertools import islice
 
 import pytest
@@ -33,6 +36,8 @@ from contend.simulator import (
 )
 
 TOY = preset("toy")
+# this thread's CPUs before any test ran; simulate must leave them as they are
+AFFINITY = os.sched_getaffinity(0)
 
 
 def toy_cfg(**kw):
@@ -401,12 +406,20 @@ def test_compiled_kernel_loads():
     assert simulator._simcore() is not None
 
 
+def run_compiled(ws, cfg):
+    """_run_compiled on ws with the line feeds that _run_many would build."""
+    feed_of = {t.pattern: simulator._line_feed(t.pattern, cfg.geometry.line_shift,
+                                               cfg.per_thread_event_budget)
+               for w in ws for t in w.threads}
+    return simulator._run_compiled(simulator._simcore(), ws, cfg, feed_of)
+
+
 @needs_cc
 @settings(max_examples=300, deadline=None)
 @given(sim_runs())
 def test_compiled_loop_matches_run(run):
     ws, cfg = run
-    assert simulator._run_compiled(simulator._simcore(), ws, cfg, {}) == simulator._run(ws, cfg)
+    assert run_compiled(ws, cfg) == simulator._run(ws, cfg)
 
 
 def fixed_runs():
@@ -436,7 +449,7 @@ def fixed_runs():
 def test_compiled_loop_matches_run_on_fixed_runs(ws, cfg):
     raw = simulator._run(ws, cfg)
     assert 0 < sum(raw["hits"]) < sum(raw["accesses"])
-    assert simulator._run_compiled(simulator._simcore(), ws, cfg, {}) == raw
+    assert run_compiled(ws, cfg) == raw
 
 
 @needs_cc
@@ -492,6 +505,151 @@ def test_fallback_gives_identical_results(monkeypatch, mem_latency, interval):
     python = [simulate(ws, cfg) for ws in runs]
     assert compiled == python
     assert [r.hit_miss for r in compiled] == [r.hit_miss for r in python]
+
+
+def report_and_runs():
+    """A toy report with three secondaries, one a seeded bucket sort, and a
+    co-run of all four workloads."""
+    v = gen_stream("triad", 48)
+    off = gen_offchip_antagonist(TOY, 3, array_bytes=2048, op_mix="readwrite")
+    on = gen_onchip_antagonist(TOY, 2)
+    sort = WorkloadSpec("sort", (ThreadSpec(BucketSort(40, 4, 2, seed=3)),))
+    return pack([v, off, on, sort], 4096)
+
+
+def all_results(cfg):
+    v, off, on, sort = report_and_runs()
+    solo = simulate([v], cfg).metrics(v.name).elapsed_cycles
+    return (interference_report(v, [off, on, sort], cfg),
+            simulate([v, off, on, sort], cfg),
+            simulate([v, sort], cfg, baselines={v.name: solo}),
+            simulate([v, on], cfg, baselines={v.name: solo, on.name: 1}))
+
+
+@needs_cc
+def test_results_do_not_depend_on_cpu_count(monkeypatch):
+    cfg = toy_cfg(per_thread_event_budget=600, record_hit_miss=True)
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)   # helpers and the caller interleave often
+        for cpus in ({0}, set(range(8))):
+            monkeypatch.setattr(simulator, "available_cpus", lambda cpus=cpus: cpus)
+            results.append(all_results(cfg))
+        monkeypatch.setattr(simulator, "_simcore", lambda: None)
+        results.append(all_results(cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert os.sched_getaffinity(0) == AFFINITY   # the caller is never pinned
+    assert results[0] == results[1] == results[2]
+    assert [r.hit_miss for r in results[0][1:]] == [r.hit_miss for r in results[2][1:]]
+
+
+def recording(fn, idents):
+    def call(*args):
+        idents.append(threading.get_ident())
+        return fn(*args)
+    return call
+
+
+def record_pins(monkeypatch):
+    """The (thread, cpus) of every sched_setaffinity call, none carried out."""
+    pins = []
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, cpus: pins.append((threading.get_ident(), set(cpus))))
+    return pins
+
+
+@needs_cc
+def test_runs_share_the_allowed_cpus(monkeypatch):
+    v, off, *_ = report_and_runs()
+    cfg = toy_cfg(per_thread_event_budget=400)
+    expected = simulate([v, off], cfg)
+    baselines = {v.name: simulate([v], cfg).metrics(v.name).elapsed_cycles}
+    # each run waits for the other: one thread running both would time out
+    both_running = threading.Barrier(2, timeout=10)
+    kernel = simulator._simcore()
+
+    def meeting(*args):
+        both_running.wait()
+        return kernel(*args)
+
+    idents = []
+    monkeypatch.setattr(simulator, "available_cpus", lambda: {0, 1, 2})
+    monkeypatch.setattr(simulator, "_this_cpu", lambda: 1)
+    monkeypatch.setattr(simulator, "_simcore", lambda: recording(meeting, idents))
+    pins = record_pins(monkeypatch)
+    threads = threading.active_count()
+    # the co-run and the off-chip walk's solo run; the victim's baseline is given
+    assert simulate([v, off], cfg, baselines=baselines) == expected
+    caller = threading.get_ident()
+    assert len(idents) == 2 and caller in idents
+    helper = next(i for i in idents if i != caller)
+    # the helper keeps off the CPU the caller is on; the caller is not pinned
+    assert pins == [(helper, {0, 2})]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("compiled", [pytest.param(True, marks=needs_cc), False])
+def test_one_cpu_or_no_compiler_starts_no_thread(monkeypatch, compiled):
+    v, off, on, sort = report_and_runs()
+    cfg = toy_cfg(per_thread_event_budget=300)
+    expected = interference_report(v, [off, on, sort], cfg)
+    idents = []
+    if compiled:
+        kernel = simulator._simcore()
+        monkeypatch.setattr(simulator, "available_cpus", lambda: {0})
+        monkeypatch.setattr(simulator, "_simcore", lambda: recording(kernel, idents))
+    else:
+        monkeypatch.setattr(simulator, "available_cpus", lambda: set(range(8)))
+        monkeypatch.setattr(simulator, "_simcore", lambda: None)
+        monkeypatch.setattr(simulator, "_run", recording(simulator._run, idents))
+    pins = record_pins(monkeypatch)
+    threads = threading.active_count()
+    assert interference_report(v, [off, on, sort], cfg) == expected
+    assert idents and set(idents) == {threading.get_ident()}
+    assert pins == []
+    assert threading.active_count() == threads
+
+
+@needs_cc
+def test_failed_run_in_a_helper_raises_in_the_caller(monkeypatch):
+    v, off, *_ = report_and_runs()
+    kernel = simulator._simcore()
+    caller = threading.get_ident()
+    both_running = threading.Barrier(2, timeout=10)
+
+    def failing_in_helper(*args):
+        both_running.wait()
+        return kernel(*args) if threading.get_ident() == caller else -1
+
+    monkeypatch.setattr(simulator, "available_cpus", lambda: {0, 1})
+    monkeypatch.setattr(simulator, "_simcore", lambda: failing_in_helper)
+    record_pins(monkeypatch)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="could not allocate"):
+        simulate([v, off], toy_cfg(), baselines={v.name: 1})
+    assert threading.active_count() == threads
+
+
+def test_runaway_plan_refused_before_any_feed(monkeypatch):
+    def never(*args):
+        raise AssertionError("a runaway plan reached a feed or a loop")
+
+    for name in ("_line_feed", "_run_compiled", "_run"):
+        monkeypatch.setattr(simulator, name, never)
+    # 70 threads x 2**26 events, past 2**32; one shared pattern, 256 MiB of feed at most
+    off = gen_offchip_antagonist(TOY, 70, array_bytes=2048)
+    with pytest.raises(SimulationError, match=r"^refusing to simulate 4697620480 events with "
+                       r"line feeds of up to 268435456 bytes \(1 distinct patterns x budget "
+                       r"67108864 x 4 B\); the bounds are 4294967296 events and 268435456 bytes$"):
+        simulate([off], toy_cfg(per_thread_event_budget=1 << 26))
+    # (1 + 5 + 4) threads x 2**24 events, within bounds; the triad and four
+    # on-chip walks x 2**24 x 4 B, past 256 MiB
+    v, on = pack([gen_stream("triad", 48), gen_onchip_antagonist(TOY, 4)], 4096)
+    with pytest.raises(SimulationError, match=r"167772160 events .* 335544320 bytes "
+                                              r"\(5 distinct patterns"):
+        interference_report(v, [on], toy_cfg(per_thread_event_budget=1 << 24))
 
 
 def test_cycle_counts_beyond_64_bits():
