@@ -24,7 +24,6 @@ from .geometry import (
 from .patterns import (
     BucketSort,
     PatternError,
-    SharedWalk,
     StreamKernel,
     StridedWalk,
     ThreadSpec,
@@ -34,7 +33,6 @@ from .patterns import (
     gen_offchip_antagonist,
     gen_onchip_antagonist,
     gen_stream,
-    gen_xeon_samedie_antagonist,
     pack,
     relocate,
     validate_workload,

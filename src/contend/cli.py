@@ -62,7 +62,7 @@ def _reseed(w: WorkloadSpec, seed: int) -> WorkloadSpec:
             threads.append(t)
     if not changed:
         return w
-    return WorkloadSpec(w.name, tuple(threads), dict(w.shared_arenas))
+    return dataclasses.replace(w, threads=threads)
 
 
 def _apply_seed(cfg: ExperimentConfig, seed: int | None) -> ExperimentConfig:

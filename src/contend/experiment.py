@@ -25,13 +25,13 @@ from dataclasses import dataclass, field, fields
 
 from .geometry import CacheGeometry, GeometryError, conflict_stride, geometry_to_dict, resolve_geometry
 from .patterns import (
+    MIB,
     PatternError,
     WorkloadSpec,
     gen_bucket_sort,
     gen_offchip_antagonist,
     gen_onchip_antagonist,
     gen_stream,
-    gen_xeon_samedie_antagonist,
     relocate,
     validate_workload,
     with_pinning,
@@ -71,6 +71,13 @@ class ExperimentConfig:
     native: NativeOptions = field(default_factory=NativeOptions)
 
 
+def _gen_sweep(g: CacheGeometry, n_threads: int = 1, array_bytes: int = 64 * MIB) -> WorkloadSpec:
+    """Per-thread line sweeps over huge private arrays, for hosts whose
+    physical address mapping is unknown: every line of the arena is a miss."""
+    w = gen_offchip_antagonist(g, n_threads, array_bytes, stride=g.line_size, strict=False)
+    return _rename(w, "harm.sweep")
+
+
 # every sim field but the geometry has a default of the field's exact type
 _SIM_TYPES = {f.name: type(f.default) for f in fields(SimConfig) if f.name != "geometry"}
 # generator fields that must be JSON integers (stride may also be null)
@@ -81,7 +88,7 @@ _GENERATOR_INTS = {"threads", "array_bytes", "stride", "n_elems", "n_keys",
 _GENERATORS = {
     "offchip": (gen_offchip_antagonist, True, (), ("threads", "array_bytes", "stride", "op_mix")),
     "onchip": (gen_onchip_antagonist, True, (), ("threads",)),
-    "sweep": (gen_xeon_samedie_antagonist, True, (), ("threads", "array_bytes")),
+    "sweep": (_gen_sweep, True, (), ("threads", "array_bytes")),
     "stream": (gen_stream, False, ("kind", "n_elems"), ()),
     "bucketsort": (gen_bucket_sort, False, ("n_keys",), ("n_buckets", "iterations", "seed")),
 }
@@ -120,7 +127,7 @@ def _build_workload(d: dict, g: CacheGeometry) -> WorkloadSpec:
 
 
 def _rename(w: WorkloadSpec, name: str) -> WorkloadSpec:
-    return WorkloadSpec(name, w.threads, dict(w.shared_arenas))
+    return WorkloadSpec(name, w.threads)
 
 
 def _check_name(name: str, what: str) -> str:

@@ -7,7 +7,8 @@ controllers.  Reads feed a checksum and writes store index-derived values,
 so no access can be elided; whether an access is then satisfied from a cache
 is exactly the effect under study.
 
-Timing protocol: allocate and initialize per thread (first touch), one
+Timing protocol: allocate and initialize per thread (first touch; an arena
+that several walks share is allocated once, before the threads start), one
 untimed warm-up pass, then all threads rendezvous on a barrier and run timed
 full passes until the requested duration elapses.  Byte accounting is exact:
 bytes_touched = passes * bytes_per_pass(pattern).
@@ -17,21 +18,14 @@ from __future__ import annotations
 
 import mmap
 import os
-import platform
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import (
-    BucketSort,
-    SharedWalk,
-    StreamKernel,
-    StridedWalk,
-    WorkloadSpec,
-    validate_workload,
-)
+from .patterns import BucketSort, StreamKernel, StridedWalk, WorkloadSpec, validate_workload
 
 DEFAULT_LINE_SIZE = 64
 
@@ -58,16 +52,6 @@ class NativeResult:
     bytes_touched: int
     aggregate_bandwidth: float       # sum of per-thread bandwidths
     checksum: int                    # xor of per-thread checksums
-    metadata: dict = field(default_factory=dict, compare=False)
-
-
-def host_metadata() -> dict:
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": sorted(available_cpus()),
-    }
 
 
 def available_cpus() -> set[int]:
@@ -119,31 +103,36 @@ def _word_step(p) -> int:
 
 
 # Each kernel allocates a pattern's state and returns its pass function, which
-# runs one full pass and returns a pass-invariant checksum.
+# runs one full pass and returns a pass-invariant checksum.  arena holds the
+# words of an arena that several threads walk, allocated by the controller,
+# and is None for a private arena.
 
 
-def _strided_kernel(p: StridedWalk, shared_arrays, hugepages):
+def _strided_kernel(p: StridedWalk, arena, hugepages):
     step = _word_step(p)
-    view = _alloc_arena(p.arena_bytes, hugepages)[::step]
+    if arena is None:
+        arena = _alloc_arena(p.arena_bytes, hugepages)
+    view = arena[::step]
     fill = np.arange(len(view), dtype=np.int64)
+    # a pass runs from start_offset to the arena's end, then from its start
+    first = p.start_offset // p.stride_bytes
+    head, tail = view[first:], view[:first]
     if p.op_mix == "read":
+        if first:
+            return lambda: int(head.sum()) + int(tail.sum())
         return lambda: int(view.sum())
+    head_fill, tail_fill = fill[first:], fill[:first]
     summed = fill if p.op_mix == "write" else view
 
     def write_pass():
-        view[:] = fill
+        head[:] = head_fill
+        if first:
+            tail[:] = tail_fill
         return int(summed.sum())
     return write_pass
 
 
-def _shared_kernel(p: SharedWalk, shared_arrays, hugepages):
-    lanes = shared_arrays[p.arena][:: _word_step(p)]
-    first = p.start_offset // p.stride_bytes
-    head, tail = lanes[first:], lanes[:first]
-    return lambda: int(head.sum()) + int(tail.sum())
-
-
-def _stream_kernel(p: StreamKernel, shared_arrays, hugepages):
+def _stream_kernel(p: StreamKernel, arena, hugepages):
     n = p.n_elems
     a, b, c = (_alloc_words(n, hugepages) for _ in range(3))
     idx = np.arange(n, dtype=np.int64) & 0x3FF
@@ -159,7 +148,7 @@ def _stream_kernel(p: StreamKernel, shared_arrays, hugepages):
     return stream_pass
 
 
-def _bucket_kernel(p: BucketSort, shared_arrays, hugepages):
+def _bucket_kernel(p: BucketSort, arena, hugepages):
     keys = p.keys().astype(np.uint64)   # the simulator's keys
     buckets = ((keys * p.n_buckets) >> 32).astype(np.intp)
     out = np.zeros(p.n_keys, dtype=np.uint64)
@@ -175,13 +164,12 @@ def _bucket_kernel(p: BucketSort, shared_arrays, hugepages):
 
 _KERNELS = {
     StridedWalk: _strided_kernel,
-    SharedWalk: _shared_kernel,
     StreamKernel: _stream_kernel,
     BucketSort: _bucket_kernel,
 }
 
 
-def _thread_main(idx, pattern, shared_arrays, hugepages, cpu, duration, barrier,
+def _thread_main(idx, pattern, arena, hugepages, cpu, duration, barrier,
                  results, errors):
     """Thread idx of its workload: pin, then allocate and first-touch the
     kernel's state on that cpu, warm up, and time passes; fills results[idx],
@@ -193,7 +181,7 @@ def _thread_main(idx, pattern, shared_arrays, hugepages, cpu, duration, barrier,
             except (AttributeError, OSError) as e:
                 raise NativeError(f"cannot pin thread {threading.current_thread().name} "
                                   f"to cpu {cpu}: {e}") from e
-        run_pass = _KERNELS[type(pattern)](pattern, shared_arrays, hugepages)
+        run_pass = _KERNELS[type(pattern)](pattern, arena, hugepages)
         run_pass()  # warm-up, untimed
         barrier.wait()
         bpp = bytes_per_pass(pattern)
@@ -244,12 +232,13 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
         validate_workload(w)
     _check_cpu_hints(workloads)
 
-    shared = [
-        {arena_id: _alloc_arena(size, hugepages)
-         for arena_id in w.shared_arenas
-         if (size := w.shared_arena_bytes(arena_id)) > 0}
-        for w in workloads
-    ]
+    # an arena walked by several threads is allocated here, once; every other
+    # arena by its own thread, which so first-touches it on its pinned cpu
+    shared = []
+    for w in workloads:
+        walkers = Counter((t.arena_base, t.pattern.arena_span) for t in w.threads)
+        shared.append({arena: _alloc_arena(arena[1], hugepages)
+                       for arena, n in walkers.items() if n > 1 and arena[1] > 0})
 
     # per workload, indexed by thread
     results = [[None] * len(w.threads) for w in workloads]
@@ -258,8 +247,8 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
     threads = [
         threading.Thread(
             target=_thread_main,
-            args=(ti, t.pattern, shared[wi], hugepages, t.cpu_hint, duration, barrier,
-                  results[wi], errors[wi]),
+            args=(ti, t.pattern, shared[wi].get((t.arena_base, t.pattern.arena_span)),
+                  hugepages, t.cpu_hint, duration, barrier, results[wi], errors[wi]),
             name=f"{w.name}-{ti}",
             daemon=True,
         )
@@ -285,16 +274,11 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
                 raise NativeError(str(e))
         raise NativeError("start barrier broken")
 
-    meta = host_metadata()
-    meta["duration_s"] = duration
-    meta["hugepages"] = hugepages
     out = []
     for w, trs in zip(workloads, results):
         checksum = 0
         for tr in trs:
             checksum ^= tr.checksum
-        wmeta = dict(meta)
-        wmeta["pinnings"] = [tr.cpu for tr in trs]
         out.append(
             NativeResult(
                 workload=w.name,
@@ -302,7 +286,6 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
                 bytes_touched=sum(tr.bytes_touched for tr in trs),
                 aggregate_bandwidth=sum(tr.bandwidth for tr in trs),
                 checksum=checksum,
-                metadata=wmeta,
             )
         )
     return out

@@ -1,13 +1,13 @@
 """Deterministic access-pattern generators: cache antagonists and victims.
 
-Workloads are built from four pattern kinds:
+Workloads are built from three pattern kinds:
 
-* StridedWalk   - private array of arena_bytes walked with a fixed stride;
-                  with the stride equal to the geometry's conflict stride this
-                  is the same-set walker that floods the memory controller.
-* SharedWalk    - one arena walked line-by-line by several threads from
-                  staggered starting points; sized to the cache capacity this
-                  is the whole-cache polluter.
+* StridedWalk   - an arena of arena_bytes walked with a fixed stride from
+                  start_offset.  With the geometry's conflict stride over
+                  private arenas it is the same-set walker that floods the
+                  memory controller; walked line by line by several threads
+                  at one arena_base, from staggered offsets, over a
+                  capacity-sized arena, it is the whole-cache polluter.
 * StreamKernel  - the copy/scale/add/triad vector kernels over three arrays.
 * BucketSort    - a seeded bucket-sort memory model (read keys, count into
                   buckets, prefix pass, permuting writes).
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, cycle, islice, repeat
 from typing import Iterator, Union
 
@@ -55,7 +55,7 @@ class StridedWalk:
     arena_bytes: int
     stride_bytes: int
     op_mix: str = "read"
-    shared_arena = None      # private arena at its thread's arena_base
+    start_offset: int = 0
     access_bytes = None      # bytes one access moves: None for a whole line
 
     def __post_init__(self):
@@ -69,6 +69,10 @@ class StridedWalk:
             raise PatternError(
                 f"op_mix must be one of {tuple(OP_MIXES)}, got {self.op_mix!r}"
             )
+        if not (0 <= self.start_offset < self.arena_bytes):
+            raise PatternError(f"start_offset {self.start_offset} outside arena")
+        if self.start_offset % self.stride_bytes != 0:
+            raise PatternError(f"start_offset {self.start_offset} not stride-aligned")
 
     @property
     def arena_span(self) -> int:
@@ -80,15 +84,19 @@ class StridedWalk:
         return self.arena_bytes // self.stride_bytes
 
     def ops(self, base: int) -> Iterator[tuple[str, int]]:
-        """Endless passes; readwrite alternates ops across pass boundaries."""
+        """Endless passes from start_offset, wrapping to the arena start;
+        readwrite alternates ops from the first event, across pass boundaries."""
         addrs = range(base, base + self.arena_bytes, self.stride_bytes)
-        return zip(cycle(OP_MIXES[self.op_mix]), chain.from_iterable(repeat(addrs)))
+        walk = chain.from_iterable(repeat(addrs))
+        if self.start_offset:
+            walk = chain(addrs[self.start_offset // self.stride_bytes:], walk)
+        return zip(cycle(OP_MIXES[self.op_mix]), walk)
 
     def line_feed(self, line_shift: int, limit: int) -> tuple[np.ndarray, int]:
         ops = OP_MIXES[self.op_mix]
         period = math.lcm(self.pass_length, len(ops))
-        feed = _walk_lines(0, self.pass_length, min(period, limit),
-                           self.stride_bytes, line_shift)
+        feed = _walk_lines(self.start_offset // self.stride_bytes, self.pass_length,
+                           min(period, limit), self.stride_bytes, line_shift)
         for j, op in enumerate(ops):
             if op == WRITE:
                 feed[j::len(ops)] |= 1
@@ -96,58 +104,10 @@ class StridedWalk:
 
 
 @dataclass(frozen=True)
-class SharedWalk:
-    arena: str               # shared-arena id, resolved via WorkloadSpec
-    arena_bytes: int
-    stride_bytes: int
-    start_offset: int = 0
-    access_bytes = None      # bytes one access moves: None for a whole line
-
-    def __post_init__(self):
-        if self.stride_bytes <= 0 or self.arena_bytes <= 0:
-            raise PatternError("arena and stride must be positive")
-        if self.arena_bytes % self.stride_bytes != 0:
-            raise PatternError(
-                f"arena {self.arena_bytes} not a multiple of stride {self.stride_bytes}"
-            )
-        if not (0 <= self.start_offset < self.arena_bytes):
-            raise PatternError(f"start_offset {self.start_offset} outside arena")
-        if self.start_offset % self.stride_bytes != 0:
-            raise PatternError(f"start_offset {self.start_offset} not stride-aligned")
-
-    @property
-    def shared_arena(self) -> str:
-        """Id of the workload arena walked; private patterns have None here."""
-        return self.arena
-
-    @property
-    def arena_span(self) -> int:
-        return 0  # lives in the workload's shared arena, not a private one
-
-    @property
-    def pass_length(self) -> int:
-        return self.arena_bytes // self.stride_bytes
-
-    def ops(self, base: int) -> Iterator[tuple[str, int]]:
-        """Endless reads from start_offset, wrapping to the arena start."""
-        end = base + self.arena_bytes
-        first = range(base + self.start_offset, end, self.stride_bytes)
-        rest = chain.from_iterable(repeat(range(base, end, self.stride_bytes)))
-        return zip(repeat(READ), chain(first, rest))
-
-    def line_feed(self, line_shift: int, limit: int) -> tuple[np.ndarray, int]:
-        """One pass rotated to begin at start_offset."""
-        n = self.pass_length
-        return _walk_lines(self.start_offset // self.stride_bytes, n, min(n, limit),
-                           self.stride_bytes, line_shift), limit
-
-
-@dataclass(frozen=True)
 class StreamKernel:
     kind: str
     n_elems: int
     elem_bytes: int = 8
-    shared_arena = None      # private arena at its thread's arena_base
 
     def __post_init__(self):
         if self.kind not in STREAM_KINDS:
@@ -212,7 +172,6 @@ class BucketSort:
     n_buckets: int = 10
     iterations: int = 10
     seed: int = 0
-    shared_arena = None      # private arena at its thread's arena_base
     access_bytes = 4         # bytes one access moves: one 32-bit word
 
     def __post_init__(self):
@@ -284,13 +243,13 @@ class BucketSort:
         return feed, min(limit, total)
 
 
-Pattern = Union[StridedWalk, SharedWalk, StreamKernel, BucketSort]
+Pattern = Union[StridedWalk, StreamKernel, BucketSort]
 
 
 @dataclass(frozen=True)
 class ThreadSpec:
     pattern: Pattern
-    arena_base: int = 0          # ignored for SharedWalk (shared_arenas wins)
+    arena_base: int = 0
     cpu_hint: int | None = None
 
 
@@ -298,59 +257,41 @@ class ThreadSpec:
 class WorkloadSpec:
     name: str
     threads: tuple[ThreadSpec, ...]
-    shared_arenas: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "threads", tuple(self.threads))
 
-    def shared_arena_bytes(self, arena_id: str) -> int:
-        """Size of a shared arena: its largest walk, 0 if no thread walks it."""
-        return max((t.pattern.arena_bytes for t in self.threads
-                    if t.pattern.shared_arena == arena_id), default=0)
-
-    def base_of(self, t: ThreadSpec) -> int:
-        """First byte of t's arena: its shared arena's base, else its own."""
-        arena = t.pattern.shared_arena
-        return t.arena_base if arena is None else self.shared_arenas[arena]
-
     def arena_intervals(self) -> list[tuple[int, int]]:
-        """Half-open [base, end) byte ranges claimed by this workload."""
-        spans = [(t.arena_base, t.arena_base + span)
-                 for t in self.threads if (span := t.pattern.arena_span) > 0]
-        for arena_id, base in self.shared_arenas.items():
-            size = self.shared_arena_bytes(arena_id)
-            if size > 0:
-                spans.append((base, base + size))
-        return spans
+        """Distinct half-open [base, end) byte ranges claimed by this workload;
+        threads whose ranges are equal share one arena."""
+        return list(dict.fromkeys(
+            (t.arena_base, t.arena_base + span)
+            for t in self.threads if (span := t.pattern.arena_span) > 0))
 
     def end_address(self) -> int:
         return max((end for _, end in self.arena_intervals()), default=0)
 
 
 def validate_workload(w: WorkloadSpec, line_size: int = 64) -> WorkloadSpec:
-    """Check arena alignment, disjointness, and shared-arena references."""
-    sizes = {arena_id: w.shared_arena_bytes(arena_id) for arena_id in w.shared_arenas}
+    """Check arena alignment and disjointness.  Walks whose arenas are equal
+    share that arena; every other overlap is refused."""
+    walks = {}       # (base, bytes) of each arena -> whether its threads are walks
     for i, t in enumerate(w.threads):
-        arena = t.pattern.shared_arena
-        if arena is None:
-            if t.arena_base % line_size != 0:
-                raise PatternError(
-                    f"{w.name}: thread {i} arena base {t.arena_base:#x} not line-aligned"
-                )
-        elif arena not in sizes:
+        if t.arena_base % line_size != 0:
             raise PatternError(
-                f"{w.name}: thread {i} references unknown shared arena {arena!r}"
+                f"{w.name}: thread {i} arena base {t.arena_base:#x} not line-aligned"
             )
-        elif t.pattern.arena_bytes != sizes[arena]:
+        arena = (t.arena_base, t.pattern.arena_span)
+        if arena[1] == 0:
+            continue
+        walk = type(t.pattern) is StridedWalk
+        if arena in walks and not (walk and walks[arena]):
             raise PatternError(
-                f"{w.name}: thread {i} walks {t.pattern.arena_bytes} bytes of shared "
-                f"arena {arena!r}, another thread {sizes[arena]}"
+                f"{w.name}: thread {i} reuses the arena at {t.arena_base:#x}; "
+                f"only walks share an arena"
             )
-    for _, base in w.shared_arenas.items():
-        if base % line_size != 0:
-            raise PatternError(f"{w.name}: shared arena base {base:#x} not line-aligned")
-
-    spans = sorted(w.arena_intervals())
+        walks[arena] = walk
+    spans = sorted((base, base + size) for base, size in walks)
     for (a0, a1), (b0, _) in zip(spans, spans[1:]):
         if b0 < a1:
             raise PatternError(
@@ -427,34 +368,12 @@ def gen_onchip_antagonist(
     cap = g.capacity
     line = g.line_size
     hints = _hints(cpus, n_threads)
-    threads = []
-    for t in range(n_threads):
-        offset = (t * cap // n_threads) // line * line
-        threads.append(ThreadSpec(SharedWalk("shared", cap, line, offset), 0, hints[t]))
-    w = WorkloadSpec("harm.onchip", tuple(threads), {"shared": base})
-    return validate_workload(w, line)
-
-
-def gen_xeon_samedie_antagonist(
-    g: CacheGeometry, n_threads: int = 1, array_bytes: int = 64 * MIB, base: int = 0, cpus=None
-) -> WorkloadSpec:
-    """Per-thread sequential line sweep over a huge private array.
-
-    The line-sized stride makes this a cache polluter covering every set; the
-    arena is far larger than any target cache so every line is a miss.
-    """
-    if n_threads < 1:
-        raise PatternError("n_threads must be >= 1")
-    if base % g.line_size != 0:
-        raise PatternError(f"base {base:#x} not line-aligned")
-    if array_bytes % g.line_size != 0:
-        raise PatternError(f"array_bytes {array_bytes} not a multiple of the line size")
-    walk = StridedWalk(array_bytes, g.line_size, "read")
-    hints = _hints(cpus, n_threads)
     threads = [
-        ThreadSpec(walk, base + t * array_bytes, hints[t]) for t in range(n_threads)
+        ThreadSpec(StridedWalk(cap, line, "read", (t * cap // n_threads) // line * line),
+                   base, hints[t])
+        for t in range(n_threads)
     ]
-    return validate_workload(WorkloadSpec("harm.sweep", tuple(threads)), g.line_size)
+    return validate_workload(WorkloadSpec("harm.onchip", tuple(threads)), line)
 
 
 def gen_stream(kind: str, n_elems: int, base: int = 0, cpu: int | None = None) -> WorkloadSpec:
@@ -480,22 +399,16 @@ def with_pinning(w: WorkloadSpec, cpus) -> WorkloadSpec:
     """Copy of w with cpu hints assigned thread-by-thread."""
     hints = _hints(cpus, len(w.threads))
     threads = tuple(replace(t, cpu_hint=hints[i]) for i, t in enumerate(w.threads))
-    return WorkloadSpec(w.name, threads, dict(w.shared_arenas))
+    return WorkloadSpec(w.name, threads)
 
 
 def relocate(w: WorkloadSpec, new_base: int) -> WorkloadSpec:
     """Shift every arena so the lowest base lands on new_base."""
-    bases = [t.arena_base for t in w.threads if t.pattern.shared_arena is None]
-    bases += list(w.shared_arenas.values())
-    if not bases:
+    if not w.threads:
         return w
-    delta = new_base - min(bases)
-    threads = tuple(
-        replace(t, arena_base=t.arena_base + delta) if t.pattern.shared_arena is None else t
-        for t in w.threads
-    )
-    arenas = {k: v + delta for k, v in w.shared_arenas.items()}
-    return WorkloadSpec(w.name, threads, arenas)
+    delta = new_base - min(t.arena_base for t in w.threads)
+    return WorkloadSpec(w.name, [ThreadSpec(t.pattern, t.arena_base + delta, t.cpu_hint)
+                                 for t in w.threads])
 
 
 def pack(workloads, align: int) -> list[WorkloadSpec]:
@@ -559,7 +472,7 @@ def iter_ops(w: WorkloadSpec, thread_idx: int, limit: int) -> Iterator[tuple[str
     if limit < 0:
         raise PatternError("limit must be >= 0")
     t = w.threads[thread_idx]
-    return islice(t.pattern.ops(w.base_of(t)), limit)
+    return islice(t.pattern.ops(t.arena_base), limit)
 
 
 def footprint(w: WorkloadSpec, g: CacheGeometry) -> int:
@@ -575,12 +488,15 @@ def footprint(w: WorkloadSpec, g: CacheGeometry) -> int:
 # ---------------------------------------------------------------------------
 # serialization
 
-_PATTERN_TYPES = {
-    "StridedWalk": StridedWalk,
-    "SharedWalk": SharedWalk,
-    "StreamKernel": StreamKernel,
-    "BucketSort": BucketSort,
-}
+_PATTERN_TYPES = {cls.__name__: cls for cls in (StridedWalk, StreamKernel, BucketSort)}
+
+
+def _check_fields(d: dict, known, what: str) -> None:
+    """Refuse a description that is not an object or has fields not in known."""
+    if not isinstance(d, dict):
+        raise PatternError(f"{what} must be an object, got {type(d).__name__}")
+    if not d.keys() <= known:
+        raise PatternError(f"unknown {what} fields {sorted(d.keys() - known)}")
 
 
 def _pattern_to_dict(p: Pattern) -> dict:
@@ -590,11 +506,18 @@ def _pattern_to_dict(p: Pattern) -> dict:
 
 
 def _pattern_from_dict(d: dict) -> Pattern:
-    try:
-        cls = _PATTERN_TYPES[d["variant"]]
-    except KeyError:
-        raise PatternError(f"unknown pattern variant {d.get('variant')!r}") from None
+    if not isinstance(d, dict):
+        raise PatternError(f"pattern must be an object, got {type(d).__name__}")
+    cls = _PATTERN_TYPES.get(d.get("variant"))
+    if cls is None:
+        raise PatternError(f"unknown pattern variant {d.get('variant')!r}")
     kwargs = {k: v for k, v in d.items() if k != "variant"}
+    _check_fields(kwargs, cls.__dataclass_fields__.keys(), cls.__name__)
+    for k, v in kwargs.items():
+        # bool is an int subclass, so compare exact types
+        if cls.__dataclass_fields__[k].type == "int" and type(v) is not int:
+            raise PatternError(f"{cls.__name__} field {k!r} must be an integer, "
+                               f"got {json.dumps(v)}")
     return cls(**kwargs)
 
 
@@ -609,14 +532,15 @@ def workload_to_dict(w: WorkloadSpec) -> dict:
             }
             for t in w.threads
         ],
-        "shared_arenas": dict(w.shared_arenas),
     }
 
 
 def workload_from_dict(d: dict) -> WorkloadSpec:
+    _check_fields(d, {"name", "threads"}, "workload")
     try:
         threads = []
         for t in d["threads"]:
+            _check_fields(t, {"pattern", "arena_base", "cpu_hint"}, "thread")
             pattern = _pattern_from_dict(t["pattern"])
             base = t.get("arena_base", 0)
             # bool is an int subclass, so compare exact types
@@ -628,7 +552,7 @@ def workload_from_dict(d: dict) -> WorkloadSpec:
                 raise PatternError(f"thread field 'cpu_hint' must be null or a non-negative "
                                    f"integer, got {json.dumps(hint)}")
             threads.append(ThreadSpec(pattern, base, hint))
-        return WorkloadSpec(d["name"], threads, dict(d.get("shared_arenas", {})))
+        return WorkloadSpec(d["name"], threads)
     except (KeyError, TypeError) as e:
         raise PatternError(f"malformed workload description: {e}") from e
 

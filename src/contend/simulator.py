@@ -319,7 +319,7 @@ def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
             feed, n = feed_of[t.pattern]   # equal patterns share a feed
             feeds.append(feed)
             n_events.append(n)
-            base_line.append(w.base_of(t) >> line_shift)
+            base_line.append(t.arena_base >> line_shift)
             wl.append(wi)
     n_wl = len(workloads)
     counters = np.zeros((5, n_wl), np.int64)

@@ -374,6 +374,32 @@ UNWRITABLE_CONFIGS = [
 ]
 
 
+def _literal(pattern, **thread):
+    return {"primary": {"name": "p", "threads": [{"pattern": pattern, **thread}]}}
+
+
+WALK = {"variant": "StridedWalk", "arena_bytes": 4096, "stride_bytes": 64}
+# literal workloads with a float in an integer field or a field nobody reads
+MALFORMED_LITERALS = [
+    (_literal({**WALK, "arena_bytes": 4096.0}),
+     "StridedWalk field 'arena_bytes' must be an integer, got 4096.0"),
+    (_literal({**WALK, "start_offset": True}),
+     "StridedWalk field 'start_offset' must be an integer, got true"),
+    (_literal({"variant": "StreamKernel", "kind": "triad", "n_elems": 16.0}),
+     "StreamKernel field 'n_elems' must be an integer, got 16.0"),
+    (_literal({"variant": "SharedWalk", "arena": "shared", "arena_bytes": 4096,
+               "stride_bytes": 64, "start_offset": 0}),
+     "unknown pattern variant 'SharedWalk'"),
+    (_literal({**WALK, "arena": "shared"}),
+     "unknown StridedWalk fields ['arena']"),
+    (_literal(WALK, cpu=0),
+     "unknown thread fields ['cpu']"),
+    ({"primary": {"name": "p", "threads": [{"pattern": WALK}],
+                  "shared_arenas": {"shared": 0}}},
+     "unknown workload fields ['shared_arenas']"),
+]
+
+
 @pytest.mark.parametrize("override, message", [
     ({"secondaries": [{"generator": "offchip", "array_bytes": 4096.0}]},
      "generator 'offchip' field 'array_bytes' must be an integer, got 4096.0"),
@@ -393,6 +419,7 @@ UNWRITABLE_CONFIGS = [
     ({"primary": {"name": "p", "threads": [{"pattern": {
         "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "arena_base": 2**70}]}},
      f"an arena of 'primary' spans bytes [{2**70}, {2**70 + 192}), outside [0, 2**63)"),
+    *MALFORMED_LITERALS,
 ])
 def test_mistyped_config_field_exits_2(tmp_path, capsys, override, message):
     p = tmp_path / "typed.json"
@@ -401,7 +428,7 @@ def test_mistyped_config_field_exits_2(tmp_path, capsys, override, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override, message", UNWRITABLE_CONFIGS)
+@pytest.mark.parametrize("override, message", UNWRITABLE_CONFIGS + MALFORMED_LITERALS)
 @pytest.mark.parametrize("cmd", ["sim", "emit-config", "gen"])
 def test_refused_config_writes_nothing(tmp_path, capsys, cmd, override, message):
     p = tmp_path / "cfg" / "typed.json"

@@ -4,6 +4,7 @@ from itertools import accumulate
 
 import pytest
 
+from contend import native
 from contend.geometry import preset
 from contend.native import (
     _KERNELS,
@@ -17,7 +18,6 @@ from contend.native import (
 )
 from contend.patterns import (
     BucketSort,
-    SharedWalk,
     StreamKernel,
     StridedWalk,
     ThreadSpec,
@@ -32,7 +32,7 @@ DUR = 0.05   # seconds per timed run; enough for thousands of passes
 
 def test_bytes_per_pass_frozen():
     assert bytes_per_pass(StridedWalk(2 * 1024 * 1024, 256 * 1024)) == 8 * 64
-    assert bytes_per_pass(SharedWalk("s", 4096, 64)) == 64 * 64
+    assert bytes_per_pass(StridedWalk(4096, 64, "read", 1024)) == 64 * 64
     assert bytes_per_pass(StreamKernel("copy", 1000)) == 16_000
     assert bytes_per_pass(StreamKernel("scale", 1000)) == 16_000
     assert bytes_per_pass(StreamKernel("add", 1000)) == 24_000
@@ -51,8 +51,8 @@ def test_run_native_accounts_bytes_exactly():
     assert t.elapsed >= DUR
 
 
-def _pass_fn(p, shared=None):
-    return _KERNELS[type(p)](p, shared or {}, False)
+def _pass_fn(p, arena=None):
+    return _KERNELS[type(p)](p, arena, False)
 
 
 def _bucket_checksum(n_keys, n_buckets, seed):
@@ -91,6 +91,10 @@ def _walk_read_checksum(arena_bytes, stride_bytes):
                  id="bucketsort-seed7"),
     pytest.param(BucketSort(2048, 16, seed=1), _bucket_checksum(2048, 16, 1),
                  id="bucketsort-seed1"),
+    pytest.param(StridedWalk(1 << 20, 64, "read", 64 * 1000),
+                 _walk_read_checksum(1 << 20, 64), id="read-offset"),
+    pytest.param(StridedWalk(1 << 20, 64, "write", 64 * 1000), 16383 * 16384 // 2,
+                 id="write-offset"),
 ])
 def test_kernel_checksum_closed_form(pattern, expected):
     run_pass = _pass_fn(pattern)
@@ -98,9 +102,12 @@ def test_kernel_checksum_closed_form(pattern, expected):
 
 
 def test_shared_walk_checksum_closed_form():
-    walk = SharedWalk("s", 1 << 20, 64, start_offset=64 * 1000)
-    run_pass = _pass_fn(walk, {"s": _alloc_arena(1 << 20, False)})
-    assert [run_pass() for _ in range(3)] == [_walk_read_checksum(1 << 20, 64)] * 3
+    # a walk from an offset over an arena the controller allocated
+    for op_mix, expected in (("read", _walk_read_checksum(1 << 20, 64)),
+                             ("write", 16383 * 16384 // 2)):
+        walk = StridedWalk(1 << 20, 64, op_mix, start_offset=64 * 1000)
+        run_pass = _pass_fn(walk, _alloc_arena(1 << 20, False))
+        assert [run_pass() for _ in range(3)] == [expected] * 3
 
 
 def test_pass_checksum_is_invariant():
@@ -125,13 +132,24 @@ def test_walk_op_mixes_run():
         assert res.threads[0].passes >= 1
 
 
-def test_shared_arena_walkers():
-    w = gen_onchip_antagonist(preset("toy"), 2)
+def test_shared_arena_walkers(monkeypatch):
+    # the two walkers at one base get one array; the private walk its own
+    arenas = []
+
+    def recorded(p, arena, hugepages):
+        arenas.append(arena)
+        return native._strided_kernel(p, arena, hugepages)
+    monkeypatch.setitem(_KERNELS, StridedWalk, recorded)
+    on = gen_onchip_antagonist(preset("toy"), 2)
+    w = WorkloadSpec("w", (*on.threads, ThreadSpec(StridedWalk(4096, 64), 8192)))
     res = run_native(w, DUR)
-    assert len(res.threads) == 2
-    per_pass = bytes_per_pass(w.threads[0].pattern)
-    for t in res.threads:
-        assert t.bytes_touched == t.passes * per_pass
+    assert len(res.threads) == 3
+    for t, spec in zip(res.threads, w.threads):
+        assert t.bytes_touched == t.passes * bytes_per_pass(spec.pattern)
+    shared = [a for a in arenas if a is not None]
+    assert len(shared) == 2 and shared[0] is shared[1]
+    assert len(shared[0]) * 8 == preset("toy").capacity
+    assert sum(a is None for a in arenas) == 1
 
 
 def test_stride_must_be_word_multiple():

@@ -1,13 +1,14 @@
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
+from contend.experiment import experiment_from_dict
 from contend.geometry import bank_of, conflict_stride, preset, set_of
 from contend.patterns import (
     BucketSort,
     PatternError,
-    SharedWalk,
     StreamKernel,
     StridedWalk,
     ThreadSpec,
@@ -17,7 +18,6 @@ from contend.patterns import (
     gen_offchip_antagonist,
     gen_onchip_antagonist,
     gen_stream,
-    gen_xeon_samedie_antagonist,
     iter_ops,
     pack,
     relocate,
@@ -46,11 +46,13 @@ def test_strided_walk_validation():
 
 
 def test_shared_walk_validation():
-    SharedWalk("s", 4096, 32, 2048)
+    StridedWalk(4096, 32, "read", 2048)
     with pytest.raises(PatternError):
-        SharedWalk("s", 4096, 32, 4096)     # offset outside arena
+        StridedWalk(4096, 32, "read", 4096)     # offset outside arena
     with pytest.raises(PatternError):
-        SharedWalk("s", 4096, 32, 17)       # offset not stride-aligned
+        StridedWalk(4096, 32, "read", -32)      # offset outside arena
+    with pytest.raises(PatternError):
+        StridedWalk(4096, 32, "read", 17)       # offset not stride-aligned
 
 
 def test_stream_kernel_validation():
@@ -118,6 +120,7 @@ def test_onchip_staggered_offsets():
     assert w.name == "harm.onchip"
     offs = [t.pattern.start_offset for t in w.threads]
     assert offs == [0, 2048]
+    assert [t.arena_base for t in w.threads] == [0, 0]
     t1 = preset("t1")
     w = gen_onchip_antagonist(t1, 4)
     offs = [t.pattern.start_offset for t in w.threads]
@@ -138,8 +141,12 @@ def test_onchip_covers_all_pairs():
 
 def test_sweep_antagonist():
     g = preset("harpertown")
-    w = gen_xeon_samedie_antagonist(g, 2)
-    assert w.name == "harm.sweep"
+    d = {"geometry": "harpertown", "primary": {"generator": "sweep", "threads": 2}}
+    w = experiment_from_dict(d).primary
+    assert w == replace(gen_offchip_antagonist(g, 2, 64 * MIB, stride=g.line_size,
+                                               strict=False), name="primary")
+    d["secondaries"] = [{"generator": "sweep"}]
+    assert [s.name for s in experiment_from_dict(d).secondaries] == ["harm.sweep"]
     for t in w.threads:
         assert t.pattern.arena_bytes == 64 * MIB
         assert t.pattern.stride_bytes == g.line_size
@@ -236,11 +243,7 @@ def test_strided_walk_wraps():
 
 
 def test_shared_walk_wraps_from_offset():
-    w = WorkloadSpec(
-        "w",
-        (ThreadSpec(SharedWalk("s", 4096, 64, 4032)),),
-        shared_arenas={"s": 0},
-    )
+    w = WorkloadSpec("w", (ThreadSpec(StridedWalk(4096, 64, "read", 4032)),))
     addrs = [a for _, a in iter_ops(w, 0, 3)]
     assert addrs == [4032, 0, 64]
 
@@ -250,21 +253,24 @@ def test_shared_walk_wraps_from_offset():
     # length the ops flip at every pass boundary
     (WorkloadSpec("w", (ThreadSpec(StridedWalk(192, 64, "readwrite")),)), 7,
      [("r", 0), ("w", 64), ("r", 128), ("w", 0), ("r", 64), ("w", 128), ("r", 0)]),
-    (WorkloadSpec("w", (ThreadSpec(SharedWalk("s", 256, 64, 128)),), {"s": 1024}), 5,
+    (WorkloadSpec("w", (ThreadSpec(StridedWalk(256, 64, "read", 128), 1024),)), 5,
      [("r", 1152), ("r", 1216), ("r", 1024), ("r", 1088), ("r", 1152)]),
+    # the op cycle starts at the first event, wherever start_offset puts it
+    (WorkloadSpec("w", (ThreadSpec(StridedWalk(192, 64, "readwrite", 128), 512),)), 7,
+     [("r", 640), ("w", 512), ("r", 576), ("w", 640), ("r", 512), ("w", 576), ("r", 640)]),
 ])
 def test_walk_stream_frozen(w, limit, want):
     assert list(iter_ops(w, 0, limit)) == want
 
 
 def test_shared_walk_uses_arena_base():
-    w = WorkloadSpec(
-        "w",
-        (ThreadSpec(SharedWalk("s", 4096, 64, 0)),),
-        shared_arenas={"s": 1 << 20},
-    )
-    addrs = [a for _, a in iter_ops(w, 0, 2)]
-    assert addrs == [1 << 20, (1 << 20) + 64]
+    # two walks at one base share its arena, each from its own offset
+    w = WorkloadSpec("w", (ThreadSpec(StridedWalk(256, 64, "read", 0), 1 << 20),
+                           ThreadSpec(StridedWalk(256, 128, "write", 128), 1 << 20)))
+    validate_workload(w)
+    assert w.arena_intervals() == [(1 << 20, (1 << 20) + 256)]
+    assert list(iter_ops(w, 0, 5)) == [("r", (1 << 20) + a) for a in (0, 64, 128, 192, 0)]
+    assert list(iter_ops(w, 1, 3)) == [("w", (1 << 20) + a) for a in (128, 0, 128)]
 
 
 def test_footprint_empty_workload():
@@ -282,19 +288,25 @@ def test_validate_rejects_unaligned_base():
     validate_workload(w, line_size=32)      # aligned for a 32-byte line
 
 
-def test_validate_rejects_unknown_shared_arena():
-    w = WorkloadSpec("w", (ThreadSpec(SharedWalk("nope", 4096, 64)),))
-    with pytest.raises(PatternError):
+def test_validate_rejects_partial_walk_overlap():
+    # one arena is shared only by walks whose ranges are equal
+    w = WorkloadSpec("w", (ThreadSpec(StridedWalk(4096, 64)), ThreadSpec(StridedWalk(2048, 64))))
+    with pytest.raises(PatternError, match="arenas overlap at 0x0"):
+        validate_workload(w)
+    w = WorkloadSpec("w", (ThreadSpec(StridedWalk(4096, 64)),
+                           ThreadSpec(StridedWalk(4096, 64), 2048)))
+    with pytest.raises(PatternError, match="arenas overlap at 0x800"):
         validate_workload(w)
 
 
-def test_validate_rejects_inconsistent_shared_sizes():
-    w = WorkloadSpec(
-        "w",
-        (ThreadSpec(SharedWalk("s", 4096, 64)), ThreadSpec(SharedWalk("s", 2048, 64))),
-        shared_arenas={"s": 0},
-    )
-    with pytest.raises(PatternError):
+@pytest.mark.parametrize("first, second", [
+    (StreamKernel("triad", 64), StreamKernel("triad", 64)),
+    (StridedWalk(1536, 64), StreamKernel("triad", 64)),
+    (StreamKernel("triad", 64), StridedWalk(1536, 64)),
+])
+def test_validate_rejects_equal_arenas_unless_walks(first, second):
+    w = WorkloadSpec("w", (ThreadSpec(first, 4096), ThreadSpec(second, 4096)))
+    with pytest.raises(PatternError, match="thread 1 reuses the arena at 0x1000"):
         validate_workload(w)
 
 
@@ -316,11 +328,12 @@ def test_relocate_preserves_mapping_at_stride_multiples():
     assert moved.threads[0].arena_base == 8 * conflict_stride(g)
 
 
-def test_relocate_shifts_shared_arenas():
+def test_relocate_keeps_shared_walks_together():
     w = gen_onchip_antagonist(preset("toy"), 2)
     moved = relocate(w, 4096)
-    assert moved.shared_arenas == {"shared": 4096}
-    assert [a for _, a in iter_ops(moved, 0, 1)] == [4096]
+    assert [t.arena_base for t in moved.threads] == [4096, 4096]
+    assert moved.arena_intervals() == [(4096, 8192)]
+    assert [a for _, a in iter_ops(moved, 1, 1)] == [4096 + 2048]
 
 
 def test_pack_disjoint_and_aligned():
@@ -352,7 +365,9 @@ def test_workload_round_trip():
         gen_onchip_antagonist(preset("toy"), 2),
         gen_stream("triad", 128),
         gen_bucket_sort(50, 5, iterations=2, seed=9),
-        with_pinning(gen_xeon_samedie_antagonist(preset("harpertown"), 2), [0, 1]),
+        with_pinning(gen_offchip_antagonist(preset("harpertown"), 2, 64 * MIB, stride=64,
+                                            strict=False), [0, 1]),
+        WorkloadSpec("w", (ThreadSpec(StridedWalk(256, 64, "readwrite", 128), 1024),)),
     ]
     for w in samples:
         assert workload_from_dict(workload_to_dict(w)) == w

@@ -13,7 +13,6 @@ from contend import simulator
 from contend.geometry import CacheGeometry, conflict_stride, preset
 from contend.patterns import (
     BucketSort,
-    SharedWalk,
     StreamKernel,
     StridedWalk,
     ThreadSpec,
@@ -351,8 +350,10 @@ def private_patterns(draw):
     kind = draw(st.sampled_from(["strided", "stream", "bucketsort"]))
     if kind == "strided":
         stride = draw(st.sampled_from([4, 12, 32, 64, 96, 256]))
-        return StridedWalk(stride * draw(st.integers(1, 9)), stride,
-                           draw(st.sampled_from(["read", "write", "readwrite"])))
+        steps = draw(st.integers(1, 9))
+        return StridedWalk(stride * steps, stride,
+                           draw(st.sampled_from(["read", "write", "readwrite"])),
+                           stride * draw(st.integers(0, steps - 1)))
     if kind == "stream":
         return StreamKernel(draw(st.sampled_from(["copy", "scale", "add", "triad"])),
                             draw(st.integers(0, 40)))
@@ -366,18 +367,19 @@ def workloads(draw, name):
     for p in draw(st.lists(private_patterns(), max_size=3)):
         threads.append(ThreadSpec(p, base))
         base += (p.arena_span + 255) // 256 * 256
-    arenas = {}
+    # walks that share one arena: one size, each its own stride, op mix and offset
     walkers = draw(st.integers(0, 3))
     if walkers:
-        stride = draw(st.sampled_from([8, 64, 128]))
-        steps = draw(st.integers(1, 12))
-        arenas["shared"] = base
+        size = draw(st.sampled_from([8, 64, 128])) * draw(st.integers(1, 12))
         for _ in range(walkers):
-            offset = draw(st.integers(0, steps - 1)) * stride
-            threads.append(ThreadSpec(SharedWalk("shared", steps * stride, stride, offset)))
+            stride = draw(st.sampled_from([s for s in (8, 64, 128, 192) if size % s == 0]))
+            offset = draw(st.integers(0, size // stride - 1)) * stride
+            threads.append(ThreadSpec(StridedWalk(
+                size, stride, draw(st.sampled_from(["read", "write", "readwrite"])), offset),
+                base))
     if not threads:
         threads.append(ThreadSpec(StreamKernel("triad", 0)))
-    return WorkloadSpec(name, tuple(threads), arenas)
+    return WorkloadSpec(name, tuple(threads))
 
 
 @st.composite
@@ -460,7 +462,7 @@ def test_interference_report_builds_each_feed_once(monkeypatch):
     cfg = toy_cfg(per_thread_event_budget=1500)
     expected = interference_report(v, [off, on], cfg)
     built = []
-    for cls in (StreamKernel, StridedWalk, SharedWalk):
+    for cls in (StreamKernel, StridedWalk):
         def counted(self, line_shift, limit, line_feed=cls.line_feed):
             built.append(self)
             return line_feed(self, line_shift, limit)
@@ -473,7 +475,8 @@ def test_interference_report_builds_each_feed_once(monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(private_patterns(),
-                 st.builds(SharedWalk, st.just("s"), st.just(640), st.sampled_from([4, 64, 128]),
+                 st.builds(StridedWalk, st.just(640), st.sampled_from([4, 64, 128]),
+                           st.sampled_from(["read", "write", "readwrite"]),
                            st.sampled_from([0, 128, 512]))),
        st.integers(2, 6), st.integers(0, 200))
 def test_line_feed_decodes_to_ops(pattern, line_shift, limit):
