@@ -33,7 +33,6 @@ from .patterns import (
     gen_offchip_antagonist,
     gen_onchip_antagonist,
     gen_stream,
-    pack,
     relocate,
     validate_workload,
     with_pinning,

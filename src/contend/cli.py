@@ -225,10 +225,6 @@ def hardware_problems(cfg: ExperimentConfig) -> list[str]:
     usable = available_cpus()
     if len(usable) < 2:
         problems.append(f"only {len(usable)} usable cpu(s); co-run threads would timeshare")
-    pinned = [c for cpus in cfg.native.pins.values() for c in cpus]
-    missing = sorted(set(pinned) - usable)
-    if missing:
-        problems.append(f"pinned cpus {missing} not in usable set {sorted(usable)}")
     if not cfg.native.pins:
         problems.append("no pin map in config; threads may share cores arbitrarily")
     return problems

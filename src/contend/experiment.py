@@ -23,7 +23,14 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .geometry import CacheGeometry, GeometryError, conflict_stride, geometry_to_dict, resolve_geometry
+from .geometry import (
+    CacheGeometry,
+    GeometryError,
+    _check_json,
+    conflict_stride,
+    geometry_to_dict,
+    resolve_geometry,
+)
 from .patterns import (
     MIB,
     PatternError,
@@ -38,7 +45,7 @@ from .patterns import (
     workload_from_dict,
     workload_to_dict,
 )
-from .simulator import SimConfig
+from .simulator import SimConfig, SimulationError
 
 PRIMARY_NAME = "primary"
 
@@ -54,8 +61,10 @@ class NativeOptions:
     hugepages: bool = False
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigError("native duration must be > 0 seconds")
+        if not 0 < self.duration < math.inf:
+            raise ConfigError(f"native field 'duration' must be a positive number of "
+                              f"seconds, got {json.dumps(self.duration)}")
+        object.__setattr__(self, "duration", float(self.duration))
         object.__setattr__(
             self, "pins", {k: tuple(v) for k, v in self.pins.items()}
         )
@@ -78,52 +87,38 @@ def _gen_sweep(g: CacheGeometry, n_threads: int = 1, array_bytes: int = 64 * MIB
     return _rename(w, "harm.sweep")
 
 
-# every sim field but the geometry has a default of the field's exact type
-_SIM_TYPES = {f.name: type(f.default) for f in fields(SimConfig) if f.name != "geometry"}
-# generator fields that must be JSON integers (stride may also be null)
-_GENERATOR_INTS = {"threads", "array_bytes", "stride", "n_elems", "n_keys",
-                   "n_buckets", "iterations", "seed"}
-# each generator: its function, whether it takes the geometry, and its
-# required and optional config fields; every default lives in the gen_* signature
+# the JSON fields of the top-level object and of the sim section
+_EXPERIMENT_FIELDS = {"name": "str", "geometry": "str | dict", "sim": "dict",
+                      "primary": "dict", "secondaries": "list", "native": "dict"}
+_SIM_FIELDS = {f.name: f.type for f in fields(SimConfig) if f.name != "geometry"}
+# each generator: its function, whether it takes the geometry, its config
+# fields with their annotations, and the required ones; every default lives
+# in the gen_* signature
 _GENERATORS = {
-    "offchip": (gen_offchip_antagonist, True, (), ("threads", "array_bytes", "stride", "op_mix")),
-    "onchip": (gen_onchip_antagonist, True, (), ("threads",)),
-    "sweep": (_gen_sweep, True, (), ("threads", "array_bytes")),
-    "stream": (gen_stream, False, ("kind", "n_elems"), ()),
-    "bucketsort": (gen_bucket_sort, False, ("n_keys",), ("n_buckets", "iterations", "seed")),
+    "offchip": (gen_offchip_antagonist, True, {"threads": "int", "array_bytes": "int",
+                                               "stride": "int | None", "op_mix": "str"}, ()),
+    "onchip": (gen_onchip_antagonist, True, {"threads": "int"}, ()),
+    "sweep": (_gen_sweep, True, {"threads": "int", "array_bytes": "int"}, ()),
+    "stream": (gen_stream, False, {"kind": "str", "n_elems": "int"}, ("kind", "n_elems")),
+    "bucketsort": (gen_bucket_sort, False, {"n_keys": "int", "n_buckets": "int",
+                                            "iterations": "int", "seed": "int"}, ("n_keys",)),
 }
 
 
 def _build_workload(d: dict, g: CacheGeometry) -> WorkloadSpec:
-    if not isinstance(d, dict):
-        raise ConfigError(f"workload must be an object, got {type(d).__name__}")
-    if "generator" not in d:
+    if type(d) is not dict or "generator" not in d:
         return workload_from_dict(d)
-    args = dict(d)
-    kind = args.pop("generator")
-    name = args.pop("name", None)
-    for key, value in args.items():
-        # bool is an int subclass, so compare exact types
-        if key in _GENERATOR_INTS and type(value) is not int and not (
-            key == "stride" and value is None
-        ):
-            raise ConfigError(
-                f"generator {kind!r} field {key!r} must be an integer, "
-                f"got {json.dumps(value)}"
-            )
-    if kind not in _GENERATORS:
+    kind = d["generator"]
+    if type(kind) is not str or kind not in _GENERATORS:
         raise ConfigError(f"unknown generator {kind!r}")
-    gen, takes_geometry, required, optional = _GENERATORS[kind]
-    unknown = args.keys() - {*required, *optional}
-    if unknown:
-        raise ConfigError(f"generator {kind!r} got unknown fields {sorted(unknown)}")
-    for key in required:
-        if key not in args:
-            raise ConfigError(f"generator {kind!r} missing required field {key!r}")
+    gen, takes_geometry, spec, required = _GENERATORS[kind]
+    _check_json(d, {"generator": "str", "name": "str", **spec}, f"generator {kind!r}",
+                ConfigError, required)
     # the config's "threads" is the generators' n_threads
-    kwargs = {("n_threads" if k == "threads" else k): v for k, v in args.items()}
+    kwargs = {("n_threads" if k == "threads" else k): v
+              for k, v in d.items() if k not in ("generator", "name")}
     w = gen(g, **kwargs) if takes_geometry else gen(**kwargs)
-    return w if name is None else _rename(w, str(name))
+    return _rename(w, d["name"]) if "name" in d else w
 
 
 def _rename(w: WorkloadSpec, name: str) -> WorkloadSpec:
@@ -132,47 +127,37 @@ def _rename(w: WorkloadSpec, name: str) -> WorkloadSpec:
 
 def _check_name(name: str, what: str) -> str:
     """Refuse a name that could leave the output directory when joined into a path."""
-    if not isinstance(name, str) or name in ("", "..") or any(c in name for c in "/\\\0"):
+    if name in ("", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"{what} {json.dumps(name)} is not usable in a file name")
     return name
 
 
 def experiment_from_dict(d: dict) -> ExperimentConfig:
     """Validate and build an experiment; raises ConfigError on any problem."""
-    if not isinstance(d, dict):
-        raise ConfigError("experiment file must contain a JSON object")
-    unknown = set(d) - {"name", "geometry", "sim", "primary", "secondaries", "native"}
-    if unknown:
-        raise ConfigError(f"unknown top-level fields {sorted(unknown)}")
+    _check_json(d, _EXPERIMENT_FIELDS, "experiment", ConfigError, required=("primary",))
     try:
         g = resolve_geometry(d.get("geometry", "t1"))
     except (GeometryError, OSError) as e:
         raise ConfigError(f"bad geometry: {e}") from e
 
     sim_over = d.get("sim", {})
-    if not isinstance(sim_over, dict):
-        raise ConfigError("sim section must be an object")
-    bad = sim_over.keys() - _SIM_TYPES
-    if bad:
-        raise ConfigError(f"unknown sim fields {sorted(bad)}")
-    for key, value in sim_over.items():
-        if type(value) is not _SIM_TYPES[key]:
-            raise ConfigError(f"sim field {key!r} must be {_SIM_TYPES[key].__name__}, "
-                              f"got {json.dumps(value)}")
+    _check_json(sim_over, _SIM_FIELDS, "sim", ConfigError)
     try:
         sim = SimConfig(geometry=g, **sim_over)
-    except (TypeError, ValueError) as e:
+    except SimulationError as e:
         raise ConfigError(f"bad sim section: {e}") from e
 
-    if "primary" not in d:
-        raise ConfigError("experiment needs a primary workload")
-    secondary_specs = d.get("secondaries", [])
-    if not isinstance(secondary_specs, list):
-        raise ConfigError(f"secondaries must be a list of workloads, "
-                          f"got {type(secondary_specs).__name__}")
+    # rebase each secondary above the primary; conflict-stride alignment
+    # keeps every access's (bank, set) unchanged by the move.  Each workload
+    # is checked once, where it landed.
+    stride = conflict_stride(g)
     try:
         primary = _rename(_build_workload(d["primary"], g), PRIMARY_NAME)
-        secondaries = [_build_workload(s, g) for s in secondary_specs]
+        sec_base = max((primary.end_address() + stride - 1) // stride * stride, stride)
+        secondaries = [relocate(_build_workload(s, g), sec_base)
+                       for s in d.get("secondaries", [])]
+        for w in (primary, *secondaries):
+            validate_workload(w, g.line_size)
     except PatternError as e:
         raise ConfigError(str(e)) from e
 
@@ -183,55 +168,27 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
     if PRIMARY_NAME in names or "idle" in names:
         raise ConfigError('secondary names "primary" and "idle" are reserved')
 
-    # rebase each secondary above the primary; conflict-stride alignment
-    # keeps every access's (bank, set) unchanged by the move
-    stride = conflict_stride(g)
-    end = primary.end_address()
-    sec_base = max((end + stride - 1) // stride * stride, stride)
-    secondaries = [relocate(s, sec_base) for s in secondaries]
-
     native_over = d.get("native", {})
-    if not isinstance(native_over, dict):
-        raise ConfigError("native section must be an object")
-    bad = set(native_over) - {"duration", "pins", "hugepages"}
-    if bad:
-        raise ConfigError(f"unknown native fields {sorted(bad)}")
-    duration = native_over.get("duration", 1.0)
-    if type(duration) not in (int, float) or not 0 < duration < math.inf:
-        raise ConfigError(f"native field 'duration' must be a positive number of "
-                          f"seconds, got {json.dumps(duration)}")
+    _check_json(native_over, NativeOptions, "native", ConfigError)
     pins = native_over.get("pins", {})
-    if not isinstance(pins, dict) or not all(
-        isinstance(cpus, list) and all(type(c) is int for c in cpus) for cpus in pins.values()
-    ):
+    if not all(type(cpus) is list and all(type(c) is int for c in cpus)
+               for cpus in pins.values()):
         raise ConfigError(f"native field 'pins' must map workload names to lists "
                           f"of cpu numbers, got {json.dumps(pins)}")
-    hugepages = native_over.get("hugepages", False)
-    if type(hugepages) is not bool:
-        raise ConfigError(f"native field 'hugepages' must be bool, got {json.dumps(hugepages)}")
-    native = NativeOptions(duration=float(duration), pins=pins, hugepages=hugepages)
+    native = NativeOptions(**native_over)
     known = {PRIMARY_NAME, *names}
     for pinned in native.pins:
         if pinned not in known:
             raise ConfigError(f"pin target {pinned!r} is not a workload in this experiment")
 
-    cfg = ExperimentConfig(
-        name=_check_name(str(d.get("name", "experiment")), "experiment name"),
+    return ExperimentConfig(
+        name=_check_name(d.get("name", "experiment"), "experiment name"),
         geometry=g,
         sim=sim,
         primary=primary,
         secondaries=tuple(secondaries),
         native=native,
     )
-    # generators validate what they build, and relocation by a line multiple
-    # keeps it valid; literal workloads are checked once, where they landed
-    for w, spec in zip((cfg.primary, *cfg.secondaries), (d["primary"], *secondary_specs)):
-        if "generator" not in spec:
-            try:
-                validate_workload(w, g.line_size)
-            except PatternError as e:
-                raise ConfigError(str(e)) from e
-    return cfg
 
 
 def load_experiment(path: str) -> ExperimentConfig:
@@ -250,7 +207,7 @@ def experiment_to_dict(cfg: ExperimentConfig) -> dict:
     return {
         "name": cfg.name,
         "geometry": geometry_to_dict(cfg.geometry),
-        "sim": {f: getattr(cfg.sim, f) for f in sorted(_SIM_TYPES)},
+        "sim": {f: getattr(cfg.sim, f) for f in sorted(_SIM_FIELDS)},
         "primary": workload_to_dict(cfg.primary),
         "secondaries": [workload_to_dict(s) for s in cfg.secondaries],
         "native": {

@@ -13,8 +13,9 @@ the offset bits.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 MAX_ADDR_BITS = 48
@@ -144,6 +145,62 @@ def preset_names() -> list[str]:
     return sorted(PRESETS)
 
 
+# ---------------------------------------------------------------------------
+# config JSON: one rule for every object a config file holds
+
+# the JSON values each annotation admits, null first, so that "int | None"
+# reads "null or an integer".  bool is an int subclass and JSON keeps 4096.0
+# apart from 4096, so a value's type must be one of these exactly; a float
+# field takes any number.
+_JSON_TYPES = {"None": ("null", type(None)), "bool": ("boolean", bool),
+               "int": ("an integer", int), "float": ("a number", int, float),
+               "str": ("a string", str), "list": ("a list", list),
+               "tuple": ("a list", list), "dict": ("an object", dict)}
+
+
+@functools.cache
+def _admitted(annotation: str) -> tuple[str, tuple[type, ...]]:
+    """The description and exact types of the JSON values an annotation such
+    as "int | None" admits.  A name the table lacks is a class, whose values
+    JSON gives as objects."""
+    given = {_JSON_TYPES.get(p.split("[")[0], _JSON_TYPES["dict"])
+             for p in annotation.split(" | ")}
+    parts = [p for p in dict.fromkeys(_JSON_TYPES.values()) if p in given]
+    return " or ".join(p[0] for p in parts), tuple(t for p in parts for t in p[1:])
+
+
+@functools.cache
+def _dataclass_spec(cls) -> tuple[dict, tuple[str, ...]]:
+    """A dataclass's {field: annotation} table and its fields without defaults."""
+    return ({f.name: f.type for f in fields(cls)},
+            tuple(f.name for f in fields(cls)
+                  if f.default is MISSING and f.default_factory is MISSING))
+
+
+def _check_json(d, spec, what: str, error, required=()) -> None:
+    """Raise error unless d is a JSON object that gives every required field,
+    no field spec lacks, and each value of a JSON type its annotation admits.
+
+    spec is a dataclass, whose fields without defaults are required, or a
+    table {field: annotation}, such as {"stride": "int | None"}.
+    """
+    if type(d) is not dict:
+        raise error(f"{what} must be an object, got {type(d).__name__}")
+    if isinstance(spec, type):
+        spec, required = _dataclass_spec(spec)
+    for key, value in d.items():
+        annotation = spec.get(key)
+        if annotation is None:
+            raise error(f"unknown {what} fields {sorted(d.keys() - spec.keys())}")
+        description, types = _admitted(annotation)
+        if type(value) not in types:
+            raise error(f"{what} field {key!r} must be {description}, "
+                        f"got {json.dumps(value)}")
+    for key in required:
+        if key not in d:
+            raise error(f"{what} missing required field {key!r}")
+
+
 def _bits_to_dict(bits: tuple[int, int] | None) -> dict | None:
     return None if bits is None else {"hi": bits[0], "lo": bits[1]}
 
@@ -162,32 +219,16 @@ def geometry_to_dict(g: CacheGeometry) -> dict:
     return d
 
 
-_SIZES = ("line_size", "num_banks", "sets_per_bank", "associativity")
-
-
 def geometry_from_dict(d: dict) -> CacheGeometry:
     """Build and validate a geometry from its JSON form (exact field names).
 
     bank_bits and set_bits may be left out; when present they must equal the
     fields that the sizes give.
     """
-    if not isinstance(d, dict):
-        raise GeometryError(f"geometry must be an object, got {type(d).__name__}")
-    for key in d:
-        if key not in ("name", *_SIZES, "bank_bits", "set_bits"):
-            raise GeometryError(f"unknown geometry field {json.dumps(key)}")
-    for key in ("name", *_SIZES):
-        if key not in d:
-            raise GeometryError(f"malformed geometry description: missing field {key!r}")
-    if not isinstance(d["name"], str):
-        raise GeometryError(f"geometry field 'name' must be a string, got {json.dumps(d['name'])}")
-    for key in _SIZES:
-        # bool is an int subclass, so compare exact types
-        if type(d[key]) is not int:
-            raise GeometryError(
-                f"geometry field {key!r} must be an integer, got {json.dumps(d[key])}"
-            )
-    g = CacheGeometry(d["name"], *(d[key] for key in _SIZES))
+    sizes = {f.name: f.type for f in fields(CacheGeometry)}
+    _check_json(d, {**sizes, "bank_bits": "dict | None", "set_bits": "dict | None"},
+                "geometry", GeometryError, required=sizes)
+    g = CacheGeometry(**{key: d[key] for key in sizes})
     for key in ("bank_bits", "set_bits"):
         if key in d:
             derived = _bits_to_dict(getattr(g, key))

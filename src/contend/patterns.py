@@ -21,7 +21,6 @@ first min(cycle, limit) events, cycled to give the first n_events of ops().
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -30,7 +29,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .geometry import CacheGeometry, bank_of, conflict_stride, set_of
+from .geometry import CacheGeometry, _check_json, bank_of, conflict_stride, set_of
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -273,8 +272,9 @@ class WorkloadSpec:
 
 
 def validate_workload(w: WorkloadSpec, line_size: int = 64) -> WorkloadSpec:
-    """Check arena alignment and disjointness.  Walks whose arenas are equal
-    share that arena; every other overlap is refused."""
+    """Check that every arena is line-aligned and inside [0, 2**63), and that
+    arenas are disjoint.  Walks whose arenas are equal share that arena;
+    every other overlap is refused."""
     walks = {}       # (base, bytes) of each arena -> whether its threads are walks
     for i, t in enumerate(w.threads):
         if t.arena_base % line_size != 0:
@@ -282,6 +282,10 @@ def validate_workload(w: WorkloadSpec, line_size: int = 64) -> WorkloadSpec:
                 f"{w.name}: thread {i} arena base {t.arena_base:#x} not line-aligned"
             )
         arena = (t.arena_base, t.pattern.arena_span)
+        end = t.arena_base + arena[1]
+        if t.arena_base < 0 or end > 1 << 63:   # the compiled loop caches line << 1 | dirty
+            raise PatternError(f"an arena of {w.name!r} spans bytes "
+                               f"[{t.arena_base}, {end}), outside [0, 2**63)")
         if arena[1] == 0:
             continue
         walk = type(t.pattern) is StridedWalk
@@ -334,6 +338,8 @@ def gen_offchip_antagonist(
         raise PatternError("n_threads must be >= 1")
     if stride is None:
         stride = conflict_stride(g)
+    if stride <= 0:
+        raise PatternError(f"stride must be > 0, got {stride}")
     if strict and stride % conflict_stride(g) != 0:
         raise PatternError(
             f"stride {stride} is not a multiple of conflict stride "
@@ -349,7 +355,7 @@ def gen_offchip_antagonist(
     threads = [
         ThreadSpec(walk, base + t * array_bytes, hints[t]) for t in range(n_threads)
     ]
-    return validate_workload(WorkloadSpec("harm.offchip", tuple(threads)), g.line_size)
+    return WorkloadSpec("harm.offchip", tuple(threads))
 
 
 def gen_onchip_antagonist(
@@ -373,7 +379,7 @@ def gen_onchip_antagonist(
                    base, hints[t])
         for t in range(n_threads)
     ]
-    return validate_workload(WorkloadSpec("harm.onchip", tuple(threads)), line)
+    return WorkloadSpec("harm.onchip", tuple(threads))
 
 
 def gen_stream(kind: str, n_elems: int, base: int = 0, cpu: int | None = None) -> WorkloadSpec:
@@ -409,20 +415,6 @@ def relocate(w: WorkloadSpec, new_base: int) -> WorkloadSpec:
     delta = new_base - min(t.arena_base for t in w.threads)
     return WorkloadSpec(w.name, [ThreadSpec(t.pattern, t.arena_base + delta, t.cpu_hint)
                                  for t in w.threads])
-
-
-def pack(workloads, align: int) -> list[WorkloadSpec]:
-    """Rebase workloads back to back at align-multiple bases (disjoint)."""
-    out = []
-    next_base = 0
-    for w in workloads:
-        w2 = relocate(w, next_base)
-        out.append(w2)
-        end = w2.end_address()   # 0 when w claims no bytes
-        next_base = max(next_base, (end + align - 1) // align * align)
-        if next_base == 0:
-            next_base = align
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +480,7 @@ def footprint(w: WorkloadSpec, g: CacheGeometry) -> int:
 # ---------------------------------------------------------------------------
 # serialization
 
-_PATTERN_TYPES = {cls.__name__: cls for cls in (StridedWalk, StreamKernel, BucketSort)}
-
-
-def _check_fields(d: dict, known, what: str) -> None:
-    """Refuse a description that is not an object or has fields not in known."""
-    if not isinstance(d, dict):
-        raise PatternError(f"{what} must be an object, got {type(d).__name__}")
-    if not d.keys() <= known:
-        raise PatternError(f"unknown {what} fields {sorted(d.keys() - known)}")
+_PATTERN_TYPES = (StridedWalk, StreamKernel, BucketSort)
 
 
 def _pattern_to_dict(p: Pattern) -> dict:
@@ -506,18 +490,13 @@ def _pattern_to_dict(p: Pattern) -> dict:
 
 
 def _pattern_from_dict(d: dict) -> Pattern:
-    if not isinstance(d, dict):
-        raise PatternError(f"pattern must be an object, got {type(d).__name__}")
-    cls = _PATTERN_TYPES.get(d.get("variant"))
+    kwargs = dict(d)
+    variant = kwargs.pop("variant", None)
+    # compared by equality: a variant need not be hashable
+    cls = next((c for c in _PATTERN_TYPES if c.__name__ == variant), None)
     if cls is None:
-        raise PatternError(f"unknown pattern variant {d.get('variant')!r}")
-    kwargs = {k: v for k, v in d.items() if k != "variant"}
-    _check_fields(kwargs, cls.__dataclass_fields__.keys(), cls.__name__)
-    for k, v in kwargs.items():
-        # bool is an int subclass, so compare exact types
-        if cls.__dataclass_fields__[k].type == "int" and type(v) is not int:
-            raise PatternError(f"{cls.__name__} field {k!r} must be an integer, "
-                               f"got {json.dumps(v)}")
+        raise PatternError(f"unknown pattern variant {variant!r}")
+    _check_json(kwargs, cls, cls.__name__, PatternError)
     return cls(**kwargs)
 
 
@@ -536,25 +515,16 @@ def workload_to_dict(w: WorkloadSpec) -> dict:
 
 
 def workload_from_dict(d: dict) -> WorkloadSpec:
-    _check_fields(d, {"name", "threads"}, "workload")
-    try:
-        threads = []
-        for t in d["threads"]:
-            _check_fields(t, {"pattern", "arena_base", "cpu_hint"}, "thread")
-            pattern = _pattern_from_dict(t["pattern"])
-            base = t.get("arena_base", 0)
-            # bool is an int subclass, so compare exact types
-            if type(base) is not int:
-                raise PatternError(f"thread field 'arena_base' must be an integer, "
-                                   f"got {json.dumps(base)}")
-            hint = t.get("cpu_hint")
-            if hint is not None and (type(hint) is not int or hint < 0):
-                raise PatternError(f"thread field 'cpu_hint' must be null or a non-negative "
-                                   f"integer, got {json.dumps(hint)}")
-            threads.append(ThreadSpec(pattern, base, hint))
-        return WorkloadSpec(d["name"], threads)
-    except (KeyError, TypeError) as e:
-        raise PatternError(f"malformed workload description: {e}") from e
+    _check_json(d, WorkloadSpec, "workload", PatternError)
+    threads = []
+    for t in d["threads"]:
+        _check_json(t, ThreadSpec, "thread", PatternError)
+        hint = t.get("cpu_hint")
+        if hint is not None and hint < 0:
+            raise PatternError(f"thread field 'cpu_hint' must be null or a non-negative "
+                               f"integer, got {hint}")
+        threads.append(ThreadSpec(_pattern_from_dict(t["pattern"]), t.get("arena_base", 0), hint))
+    return WorkloadSpec(d["name"], threads)
 
 
 def write_trace_csv(w: WorkloadSpec, per_thread_limit: int, fh) -> None:

@@ -77,6 +77,10 @@ class SimConfig:
             raise SimulationError("mc_service_interval must be >= 1")
         if self.per_thread_event_budget < 1:
             raise SimulationError("per_thread_event_budget must be >= 1")
+        # an event advances the clock by at most this, so the at most 2**32
+        # events of a plan keep the compiled loop's int64 cycles from overflowing
+        if self.mem_latency + 2 * self.mc_service_interval >= 1 << 31:
+            raise SimulationError("mem_latency + 2 * mc_service_interval must be below 2**31")
 
 
 @dataclass(frozen=True)
@@ -146,10 +150,6 @@ def _check_placement(workloads: list[WorkloadSpec], g: CacheGeometry) -> None:
     for w in workloads:
         validate_workload(w, g.line_size)
         for lo, hi in w.arena_intervals():
-            if lo < 0 or hi > 1 << 63:   # the compiled loop caches line << 1 | dirty
-                raise SimulationError(
-                    f"an arena of {w.name!r} spans bytes [{lo}, {hi}), outside [0, 2**63)"
-                )
             if (hi - lo + g.line_size - 1) // g.line_size >= MAX_ARENA_LINES:
                 raise SimulationError(
                     f"an arena of {w.name!r} spans {hi - lo} bytes, "
@@ -401,10 +401,6 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
             f"{feed_bytes} bytes ({len(patterns)} distinct patterns x budget {budget} "
             f"x 4 B); the bounds are {MAX_PLAN_EVENTS} events and {MAX_FEED_BYTES} bytes"
         )
-    # the compiled loop counts cycles in int64; a run that could pass it takes _run
-    compiled = [kernel is not None
-                and n * (cfg.mem_latency + 2 * cfg.mc_service_interval) < 1 << 63
-                for n in events]
     feed_of = {p: _line_feed(p, g.line_shift, budget) for p in patterns} if kernel else {}
 
     raws, errors = [None] * len(runs), {}
@@ -420,7 +416,7 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
             except IndexError:
                 return
             try:
-                raws[i] = (_run_compiled(kernel, runs[i], cfg, feed_of) if compiled[i]
+                raws[i] = (_run_compiled(kernel, runs[i], cfg, feed_of) if kernel
                            else _run(runs[i], cfg))
             except Exception as e:   # a thread's own exception would be lost
                 errors[i] = e

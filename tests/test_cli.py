@@ -358,19 +358,19 @@ UNWRITABLE_CONFIGS = [
     ({"geometry": {**TOY_GEOMETRY, "bank_bits": {"hi": 6, "lo": 5}}},
      "toy: bank_bits {\"hi\": 6, \"lo\": 5} does not match {\"hi\": 5, \"lo\": 5}"),
     ({"native": {"hugepages": "no"}},
-     "native field 'hugepages' must be bool, got \"no\""),
+     "native field 'hugepages' must be boolean, got \"no\""),
     ({"native": {"duration": True}},
-     "native field 'duration' must be a positive number of seconds, got true"),
+     "native field 'duration' must be a number, got true"),
     ({"name": "../../escape"},
      "experiment name \"../../escape\" is not usable in a file name"),
     ({"geometry": {**TOY_GEOMETRY, "bank_bit": {"hi": 5, "lo": 5}}},
-     "unknown geometry field \"bank_bit\""),
+     "unknown geometry fields ['bank_bit']"),
     ({"primary": {"name": "p", "threads": [{"pattern": {
         "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "cpu_hint": "x"}]}},
-     "thread field 'cpu_hint' must be null or a non-negative integer, got \"x\""),
+     "thread field 'cpu_hint' must be null or an integer, got \"x\""),
     ({"primary": {"name": "p", "threads": [{"pattern": {
         "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "cpu_hint": True}]}},
-     "thread field 'cpu_hint' must be null or a non-negative integer, got true"),
+     "thread field 'cpu_hint' must be null or an integer, got true"),
 ]
 
 
@@ -400,13 +400,32 @@ MALFORMED_LITERALS = [
 ]
 
 
+# well-formed JSON that no command may accept
+REFUSED_VALUES = [
+    ({"name": 5}, "experiment field 'name' must be a string, got 5"),
+    ({"secondaries": [{"generator": "onchip", "threads": 1, "name": None}]},
+     "generator 'onchip' field 'name' must be a string, got null"),
+    ({"secondaries": [{"generator": "offchip", "threads": 1, "array_bytes": 2048,
+                       "stride": 0}]},
+     "stride must be > 0, got 0"),
+    (_literal({"variant": "StreamKernel", "kind": "triad", "n_elems": 8}, arena_base=-4096),
+     "an arena of 'primary' spans bytes [-4096, -3904), outside [0, 2**63)"),
+    (_literal({"variant": "StreamKernel", "kind": "triad", "n_elems": 8}, arena_base=2**70),
+     f"an arena of 'primary' spans bytes [{2**70}, {2**70 + 192}), outside [0, 2**63)"),
+    (_literal(WALK, cpu_hint=-1),
+     "thread field 'cpu_hint' must be null or a non-negative integer, got -1"),
+    ({"secondaries": [{"generator": ["offchip"], "threads": 1}]},
+     "unknown generator ['offchip']"),
+]
+
+
 @pytest.mark.parametrize("override, message", [
     ({"secondaries": [{"generator": "offchip", "array_bytes": 4096.0}]},
      "generator 'offchip' field 'array_bytes' must be an integer, got 4096.0"),
     ({"secondaries": [{"generator": "onchip", "threads": "2"}]},
      "generator 'onchip' field 'threads' must be an integer, got \"2\""),
     ({"sim": {"hit_latency": True}},
-     "sim field 'hit_latency' must be int, got true"),
+     "sim field 'hit_latency' must be an integer, got true"),
     ({"primary": {"name": "p", "threads": [{"pattern": {
         "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "arena_base": "abc"}]}},
      "thread field 'arena_base' must be an integer, got \"abc\""),
@@ -414,7 +433,8 @@ MALFORMED_LITERALS = [
         "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "arena_base": 4096.5}]}},
      "thread field 'arena_base' must be an integer, got 4096.5"),
     ({"secondaries": {"a": {"generator": "onchip", "threads": 2}}},
-     "secondaries must be a list of workloads, got dict"),
+     "experiment field 'secondaries' must be a list, got "
+     "{\"a\": {\"generator\": \"onchip\", \"threads\": 2}}"),
     *UNWRITABLE_CONFIGS,
     ({"primary": {"name": "p", "threads": [{"pattern": {
         "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "arena_base": 2**70}]}},
@@ -428,7 +448,8 @@ def test_mistyped_config_field_exits_2(tmp_path, capsys, override, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override, message", UNWRITABLE_CONFIGS + MALFORMED_LITERALS)
+@pytest.mark.parametrize("override, message",
+                         UNWRITABLE_CONFIGS + MALFORMED_LITERALS + REFUSED_VALUES)
 @pytest.mark.parametrize("cmd", ["sim", "emit-config", "gen"])
 def test_refused_config_writes_nothing(tmp_path, capsys, cmd, override, message):
     p = tmp_path / "cfg" / "typed.json"
@@ -506,3 +527,17 @@ def test_native_forced_run_reports_skip(tmp_path, capsys):
     assert any(l.startswith("# hw_checks:") for l in lines)
     rows = [l for l in lines if l.startswith("primary@idle,")]
     assert rows and rows[0].endswith("1.000000")
+
+
+def test_native_pin_outside_mask_exits_2(tmp_path, capsys):
+    from contend import native
+    if not native.pinning_supported():
+        pytest.skip("no cpu pinning on this host")
+    cpu = max(native.available_cpus()) + 1
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(toy_config_dict(native={"pins": {"harm.offchip": [cpu]}})))
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "native", str(p), "--skip-hw-checks", "--duration", "0.05"])
+    assert rc == 2
+    assert f"cpu hint {cpu} not in usable set" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))

@@ -19,7 +19,6 @@ from contend.patterns import (
     gen_onchip_antagonist,
     gen_stream,
     iter_ops,
-    pack,
     relocate,
     validate_workload,
     with_pinning,
@@ -334,20 +333,6 @@ def test_relocate_keeps_shared_walks_together():
     assert [t.arena_base for t in moved.threads] == [4096, 4096]
     assert moved.arena_intervals() == [(4096, 8192)]
     assert [a for _, a in iter_ops(moved, 1, 1)] == [4096 + 2048]
-
-
-def test_pack_disjoint_and_aligned():
-    g = preset("toy")
-    ws = pack(
-        [gen_stream("copy", 16), gen_offchip_antagonist(g, 1, array_bytes=2048),
-         gen_onchip_antagonist(g, 2)],
-        align=conflict_stride(g),
-    )
-    spans = [iv for w in ws for iv in w.arena_intervals()]
-    spans.sort()
-    for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-        assert b0 >= a1
-    assert ws[1].threads[0].arena_base % conflict_stride(g) == 0
 
 
 def test_with_pinning():

@@ -13,6 +13,7 @@ from contend import simulator
 from contend.geometry import CacheGeometry, conflict_stride, preset
 from contend.patterns import (
     BucketSort,
+    PatternError,
     StreamKernel,
     StridedWalk,
     ThreadSpec,
@@ -21,7 +22,6 @@ from contend.patterns import (
     gen_onchip_antagonist,
     gen_stream,
     iter_ops,
-    pack,
     relocate,
 )
 from contend.simulator import (
@@ -35,8 +35,19 @@ from contend.simulator import (
 )
 
 TOY = preset("toy")
+
 # this thread's CPUs before any test ran; simulate must leave them as they are
 AFFINITY = os.sched_getaffinity(0)
+
+
+def pack(workloads, align):
+    """Rebase workloads back to back at align-multiple bases (disjoint)."""
+    out, next_base = [], 0
+    for w in workloads:
+        out.append(relocate(w, next_base))
+        end = out[-1].end_address()   # 0 when w claims no bytes
+        next_base = max(next_base, (end + align - 1) // align * align) or align
+    return out
 
 
 def toy_cfg(**kw):
@@ -331,6 +342,11 @@ def test_config_validation():
         SimConfig(geometry=TOY, mc_service_interval=0)
     with pytest.raises(SimulationError):
         SimConfig(geometry=TOY, per_thread_event_budget=0)
+    # the most cycles one event can take, times the 2**32 events a plan may
+    # hold, must fit the compiled loop's int64 clock
+    SimConfig(geometry=TOY, mem_latency=2**31 - 25, mc_service_interval=12)
+    with pytest.raises(SimulationError, match=r"below 2\*\*31"):
+        SimConfig(geometry=TOY, mem_latency=2**31 - 24, mc_service_interval=12)
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +671,6 @@ def test_runaway_plan_refused_before_any_feed(monkeypatch):
         interference_report(v, [on], toy_cfg(per_thread_event_budget=1 << 24))
 
 
-def test_cycle_counts_beyond_64_bits():
-    # four back-to-back misses of 2**62 cycles each: past the compiled loop's
-    # int64 counters, so the exact Python loop runs
-    w = WorkloadSpec("w", (ThreadSpec(StridedWalk(8192, 1024)),))
-    cfg = toy_cfg(mem_latency=2**62, per_thread_event_budget=4)
-    assert simulate([w], cfg).metrics("w").elapsed_cycles == 2**64
-
-
 def test_arena_of_2_31_lines_refused():
     lines = 1 << 31
     below = WorkloadSpec("w", (ThreadSpec(StridedWalk((lines - 1) * 32, (lines - 1) * 32)),))
@@ -678,5 +686,5 @@ def test_arena_outside_63_bits_refused():
     assert simulate([top], toy_cfg(per_thread_event_budget=4)).metrics("w").misses == 2
     for base in ((1 << 63) - 32, 1 << 70, -64):
         w = WorkloadSpec("w", (ThreadSpec(StridedWalk(64, 32), base),))
-        with pytest.raises(SimulationError, match=r"outside \[0, 2\*\*63\)"):
+        with pytest.raises(PatternError, match=r"outside \[0, 2\*\*63\)"):
             simulate([w], toy_cfg())
