@@ -19,6 +19,7 @@ each (primary, secondary) pair occupies disjoint arenas.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -45,7 +46,7 @@ from .patterns import (
     workload_from_dict,
     workload_to_dict,
 )
-from .simulator import SimConfig, SimulationError
+from .simulator import MAX_PLAN_EVENTS, SimConfig, SimulationError
 
 PRIMARY_NAME = "primary"
 
@@ -104,8 +105,14 @@ _GENERATORS = {
                                             "iterations": "int", "seed": "int"}, ("n_keys",)),
 }
 
+# each generator that takes "threads": its n_threads default
+_DEFAULT_THREADS = {kind: inspect.signature(gen).parameters["n_threads"].default
+                    for kind, (gen, _, spec, _) in _GENERATORS.items() if "threads" in spec}
 
-def _build_workload(d: dict, g: CacheGeometry) -> WorkloadSpec:
+
+def _build_workload(d: dict, g: CacheGeometry, budget: int) -> WorkloadSpec:
+    """The workload d describes; a generator whose threads could not run
+    within the runaway guard's event bound at budget is refused unbuilt."""
     if type(d) is not dict or "generator" not in d:
         return workload_from_dict(d)
     kind = d["generator"]
@@ -117,6 +124,12 @@ def _build_workload(d: dict, g: CacheGeometry) -> WorkloadSpec:
     # the config's "threads" is the generators' n_threads
     kwargs = {("n_threads" if k == "threads" else k): v
               for k, v in d.items() if k not in ("generator", "name")}
+    if kind in _DEFAULT_THREADS:
+        n = kwargs.get("n_threads", _DEFAULT_THREADS[kind])
+        if n * budget > MAX_PLAN_EVENTS:
+            raise ConfigError(f"refusing generator {kind!r}: {n} threads x budget {budget} "
+                              f"is {n * budget} events, past the bound of "
+                              f"{MAX_PLAN_EVENTS} events")
     w = gen(g, **kwargs) if takes_geometry else gen(**kwargs)
     return _rename(w, d["name"]) if "name" in d else w
 
@@ -151,10 +164,11 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
     # keeps every access's (bank, set) unchanged by the move.  Each workload
     # is checked once, where it landed.
     stride = conflict_stride(g)
+    budget = sim.per_thread_event_budget
     try:
-        primary = _rename(_build_workload(d["primary"], g), PRIMARY_NAME)
+        primary = _rename(_build_workload(d["primary"], g, budget), PRIMARY_NAME)
         sec_base = max((primary.end_address() + stride - 1) // stride * stride, stride)
-        secondaries = [relocate(_build_workload(s, g), sec_base)
+        secondaries = [relocate(_build_workload(s, g, budget), sec_base)
                        for s in d.get("secondaries", [])]
         for w in (primary, *secondaries):
             validate_workload(w, g.line_size)

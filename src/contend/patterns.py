@@ -422,16 +422,20 @@ def relocate(w: WorkloadSpec, new_base: int) -> WorkloadSpec:
 
 
 def _bucket_positions(p: BucketSort) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket index and stable output position of every key, as uint32."""
-    keys = p.keys()
-    wide = keys.astype(np.uint64)
-    del keys     # bucket indices (keys * n_buckets) >> 32 need 64-bit products
-    wide *= p.n_buckets
+    """Bucket index and stable output position of every key, as uint32.
+
+    Linear in n_keys up to 65536 buckets: the stable sort runs on the bucket
+    indices cast to the narrowest unsigned type that holds n_buckets - 1,
+    and numpy's stable sort of an integer type of 16 bits or less is a radix
+    sort.  With more buckets the same call is a merge sort on uint32."""
+    # bucket indices (keys * n_buckets) >> 32 need 64-bit products
+    wide = np.multiply(p.keys(), p.n_buckets, dtype=np.uint64)
     wide >>= 32
     buckets = wide.astype(np.uint32)
     del wide
+    order = np.argsort(buckets.astype(np.min_scalar_type(p.n_buckets - 1)), kind="stable")
     pos = np.empty(p.n_keys, np.uint32)
-    pos[np.argsort(buckets, kind="stable")] = np.arange(p.n_keys, dtype=np.uint32)
+    pos[order] = np.arange(p.n_keys, dtype=np.uint32)
     return buckets, pos
 
 

@@ -51,6 +51,8 @@ MAX_ARENA_LINES = 1 << 31
 # when its distinct patterns' line feeds could take more than this many bytes
 MAX_PLAN_EVENTS = 1 << 32
 MAX_FEED_BYTES = 256 << 20
+# a plan of more events than this has its size printed on stderr first
+ESTIMATE_EVENTS = 10**8
 
 
 class SimulationError(ValueError):
@@ -374,10 +376,11 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
     """The raw result of each run, in the order given.
 
     In the calling thread: build the kernel, check every run's placement in
-    order, refuse a runaway plan, and build each distinct pattern's line feed
-    once.  Then one worker per allowed CPU, the caller among them, takes the
-    longest run left until none is; the compiled loop releases the
-    interpreter lock, so the loops run side by side.  The first failure in
+    order, refuse a runaway plan, print the size of a large one on stderr,
+    and build each distinct pattern's line feed once.  Then one worker per
+    allowed CPU, the caller among them, takes the longest run left until
+    none is; the compiled loop releases the interpreter lock, so the loops
+    run side by side.  The first failure in
     run order is raised once every worker has stopped.
 
     A new thread starts on its creator's CPU, and Linux may leave both there
@@ -395,12 +398,13 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
     events = [budget * sum(len(w.threads) for w in ws) for ws in runs]
     patterns = dict.fromkeys(t.pattern for ws in runs for w in ws for t in w.threads)
     feed_bytes = len(patterns) * budget * 4
+    plan = (f"{sum(events)} events with line feeds of up to {feed_bytes} bytes "
+            f"({len(patterns)} distinct patterns x budget {budget} x 4 B)")
     if sum(events) > MAX_PLAN_EVENTS or feed_bytes > MAX_FEED_BYTES:
-        raise SimulationError(
-            f"refusing to simulate {sum(events)} events with line feeds of up to "
-            f"{feed_bytes} bytes ({len(patterns)} distinct patterns x budget {budget} "
-            f"x 4 B); the bounds are {MAX_PLAN_EVENTS} events and {MAX_FEED_BYTES} bytes"
-        )
+        raise SimulationError(f"refusing to simulate {plan}; the bounds are "
+                              f"{MAX_PLAN_EVENTS} events and {MAX_FEED_BYTES} bytes")
+    if sum(events) > ESTIMATE_EVENTS:
+        print(f"contend: simulating {plan}", file=sys.stderr)
     feed_of = {p: _line_feed(p, g.line_shift, budget) for p in patterns} if kernel else {}
 
     raws, errors = [None] * len(runs), {}

@@ -317,9 +317,11 @@ RUNAWAY_CONFIGS = [
                  "refusing to simulate 1000010000 events with line feeds of up to "
                  "983060000 bytes (49153 distinct patterns x budget 5000 x 4 B)",
                  id="onchip-100000-threads"),
+    # one thread each, so that the loader's bound on a generator's threads
+    # x budget lets it through to the plan's bound
     pytest.param({"sim": {"per_thread_event_budget": 2 * 10**9},
-                  "secondaries": [{"generator": "offchip", "threads": 15}]},
-                 "refusing to simulate 64000000000 events",
+                  "secondaries": [{"generator": "offchip", "threads": 1}]},
+                 "refusing to simulate 8000000000 events",
                  id="budget-2e9"),
 ]
 
@@ -340,6 +342,24 @@ def test_runaway_config_refused_before_any_loop(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert message in err
     assert "the bounds are 4294967296 events and 268435456 bytes" in err
+
+
+def test_large_plan_estimated_on_stderr(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "toy.json"
+    p.write_text(json.dumps(toy_config_dict()))
+    csv = tmp_path / "out" / "unit_sim.csv"
+    runs = []
+    for threshold in (simulator.ESTIMATE_EVENTS, 4799, 4800):
+        monkeypatch.setattr(simulator, "ESTIMATE_EVENTS", threshold)
+        assert main(["--seed", "1", "--out", str(tmp_path / "out"), "sim", str(p)]) == 0
+        runs.append((capsys.readouterr(), csv.read_bytes()))
+    (quiet, quiet_csv), (loud, loud_csv), (at, _) = runs
+    # the triad alone, with the two off-chip walkers, and the walkers alone:
+    # (1 + 3 + 2) threads x 800 events; the triad and one shared walk x 800 x 4 B
+    assert loud.err == ("contend: simulating 4800 events with line feeds of up to 6400 "
+                        "bytes (2 distinct patterns x budget 800 x 4 B)\n")
+    assert quiet.err == at.err == ""
+    assert (loud.out, loud_csv) == (quiet.out, quiet_csv)
 
 
 TOY_GEOMETRY = {"name": "toy", "line_size": 32, "num_banks": 2, "sets_per_bank": 16,
@@ -416,6 +436,16 @@ REFUSED_VALUES = [
      "thread field 'cpu_hint' must be null or a non-negative integer, got -1"),
     ({"secondaries": [{"generator": ["offchip"], "threads": 1}]},
      "unknown generator ['offchip']"),
+    ({"secondaries": [{"generator": "onchip", "threads": 2**70}]},
+     f"refusing generator 'onchip': {2**70} threads x budget 800 is {2**70 * 800} events, "
+     f"past the bound of 4294967296 events"),
+    # 5368710 x 800 is the first multiple of the toy budget past 2**32
+    ({"secondaries": [{"generator": "offchip", "threads": 5368710, "array_bytes": 2048}]},
+     "refusing generator 'offchip': 5368710 threads x budget 800 is 4294968000 events"),
+    # the off-chip generator's default of 15 threads
+    ({"sim": {"per_thread_event_budget": 300000000},
+      "secondaries": [{"generator": "offchip", "array_bytes": 2048}]},
+     "refusing generator 'offchip': 15 threads x budget 300000000 is 4500000000 events"),
 ]
 
 

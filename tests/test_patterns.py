@@ -13,6 +13,7 @@ from contend.patterns import (
     StridedWalk,
     ThreadSpec,
     WorkloadSpec,
+    _bucket_positions,
     footprint,
     gen_bucket_sort,
     gen_offchip_antagonist,
@@ -192,10 +193,13 @@ def _reference_bucket_trace(n_keys, n_buckets, seed, base=0):
     evs = [("r", a) for a in key_addr]
     evs += [("w", cnt_addr[b]) for b in buckets]
     evs += [("w", a) for a in cnt_addr]
+    counts = [0] * n_buckets
+    for b in buckets:
+        counts[b] += 1
     starts, total = [], 0
-    for j in range(n_buckets):
+    for c in counts:
         starts.append(total)
-        total += buckets.count(j)
+        total += c
     placed = [0] * n_buckets
     for i, b in enumerate(buckets):
         pos = starts[b] + placed[b]
@@ -206,13 +210,17 @@ def _reference_bucket_trace(n_keys, n_buckets, seed, base=0):
 
 
 def test_bucket_sort_matches_reference():
-    w = gen_bucket_sort(4, 2, iterations=1, seed=3)
-    got = list(iter_ops(w, 0, 18))
-    assert got == _reference_bucket_trace(4, 2, 3)
-    w = gen_bucket_sort(37, 5, iterations=1, seed=11)
-    n = 4 * 37 + 5
-    got = list(iter_ops(w, 0, n))
-    assert got == _reference_bucket_trace(37, 5, 11)
+    # 256, 65536 and 2**32 - 1 are the last bucket counts whose indices the
+    # stable sort takes as uint8, uint16 and uint32; seed 116 puts a key in
+    # bucket 65536, which a uint16 cast would wrap to 0
+    for n_keys, n_buckets, seed in [(4, 2, 3), (37, 5, 11), (300, 1, 2), (300, 256, 3),
+                                    (300, 257, 4), (800, 65536, 5), (800, 65537, 116)]:
+        w = gen_bucket_sort(n_keys, n_buckets, iterations=1, seed=seed)
+        got = list(iter_ops(w, 0, 4 * n_keys + n_buckets))
+        assert got == _reference_bucket_trace(n_keys, n_buckets, seed)
+    # one bucket: the stable sort keeps every key where it is
+    _, pos = _bucket_positions(BucketSort(300, 1, seed=2))
+    assert pos.tolist() == list(range(300))
 
 
 def test_bucket_sort_seed_determinism():

@@ -373,7 +373,8 @@ def private_patterns(draw):
     if kind == "stream":
         return StreamKernel(draw(st.sampled_from(["copy", "scale", "add", "triad"])),
                             draw(st.integers(0, 40)))
-    return BucketSort(draw(st.integers(0, 30)), draw(st.integers(1, 6)),
+    # past 256 buckets the stable sort runs on uint16 rather than uint8
+    return BucketSort(draw(st.integers(0, 30)), draw(st.integers(1, 6) | st.integers(250, 280)),
                       draw(st.integers(0, 2)), draw(st.integers(0, 2**32 - 1)))
 
 
@@ -408,7 +409,8 @@ def sim_runs(draw):
         mem_latency=hit + draw(st.integers(0, 40)),
         mc_service_interval=draw(st.integers(1, 50)),
         writeback_counts_as_slot=draw(st.booleans()),
-        per_thread_event_budget=draw(st.integers(1, 300)),
+        # up to 700, so that a bucket sort with 280 buckets reaches its permute phase
+        per_thread_event_budget=draw(st.integers(1, 300) | st.integers(301, 700)),
         record_hit_miss=True,
     )
     n = draw(st.integers(1, 3))
