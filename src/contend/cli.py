@@ -117,8 +117,7 @@ def _native_row(label: str, res: NativeResult, norm: float | None) -> dict:
 def _native_rows(cfg: ExperimentConfig) -> list[dict]:
     prim, secs = pinned_workloads(cfg)
     rows = []
-    for r in native_interference_report(prim, secs, cfg.native.duration,
-                                        cfg.native.hugepages):
+    for r in native_interference_report(prim, secs, cfg.native.duration):
         rows.append(_native_row(f"primary@{r.secondary}", r.primary,
                                 r.normalized_bandwidth))
         if r.secondary_result is not None:

@@ -59,7 +59,6 @@ class ConfigError(ValueError):
 class NativeOptions:
     duration: float = 1.0
     pins: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    hugepages: bool = False
 
     def __post_init__(self):
         if not 0 < self.duration < math.inf:
@@ -88,16 +87,19 @@ def _gen_sweep(g: CacheGeometry, n_threads: int = 1, array_bytes: int = 64 * MIB
     return _rename(w, "harm.sweep")
 
 
-# the JSON fields of the top-level object and of the sim section
+# the JSON fields of the top-level object and of the sim section; no
+# command prints the hit/miss labels that record_hit_miss keeps
 _EXPERIMENT_FIELDS = {"name": "str", "geometry": "str | dict", "sim": "dict",
                       "primary": "dict", "secondaries": "list", "native": "dict"}
-_SIM_FIELDS = {f.name: f.type for f in fields(SimConfig) if f.name != "geometry"}
+_SIM_FIELDS = {f.name: f.type for f in fields(SimConfig)
+               if f.name not in ("geometry", "record_hit_miss")}
 # each generator: its function, whether it takes the geometry, its config
 # fields with their annotations, and the required ones; every default lives
-# in the gen_* signature
+# in the gen_* signature.  An off-chip walker steps by the conflict stride,
+# so array_bytes alone sets its lines per set.
 _GENERATORS = {
     "offchip": (gen_offchip_antagonist, True, {"threads": "int", "array_bytes": "int",
-                                               "stride": "int | None", "op_mix": "str"}, ()),
+                                               "op_mix": "str"}, ()),
     "onchip": (gen_onchip_antagonist, True, {"threads": "int"}, ()),
     "sweep": (_gen_sweep, True, {"threads": "int", "array_bytes": "int"}, ()),
     "stream": (gen_stream, False, {"kind": "str", "n_elems": "int"}, ("kind", "n_elems")),
@@ -227,7 +229,6 @@ def experiment_to_dict(cfg: ExperimentConfig) -> dict:
         "native": {
             "duration": cfg.native.duration,
             "pins": {k: list(v) for k, v in cfg.native.pins.items()},
-            "hugepages": cfg.native.hugepages,
         },
     }
 

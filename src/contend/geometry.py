@@ -182,7 +182,7 @@ def _check_json(d, spec, what: str, error, required=()) -> None:
     no field spec lacks, and each value of a JSON type its annotation admits.
 
     spec is a dataclass, whose fields without defaults are required, or a
-    table {field: annotation}, such as {"stride": "int | None"}.
+    table {field: annotation}, such as {"geometry": "str | dict"}.
     """
     if type(d) is not dict:
         raise error(f"{what} must be an object, got {type(d).__name__}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import BucketSort, StreamKernel, StridedWalk, WorkloadSpec, validate_workload
+from .patterns import BucketSort, StreamKernel, StridedWalk, WorkloadSpec
 
 DEFAULT_LINE_SIZE = 64
 
@@ -65,17 +65,12 @@ def pinning_supported() -> bool:
     return hasattr(os, "sched_setaffinity")
 
 
-def _alloc_words(n_words: int, hugepages: bool) -> np.ndarray:
+def _alloc_words(n_words: int) -> np.ndarray:
     nbytes = max(n_words * 8, mmap.PAGESIZE)
     try:
         mm = mmap.mmap(-1, nbytes)
     except (OSError, OverflowError) as e:
         raise NativeError(f"cannot allocate {nbytes} bytes: {e}") from e
-    if hugepages:
-        advice = getattr(mmap, "MADV_HUGEPAGE", None)
-        if advice is None or not hasattr(mm, "madvise"):
-            raise NativeError("transparent huge pages not supported on this host")
-        mm.madvise(advice)
     # frombuffer holds a view of mm, keeping the mapping alive with the array
     return np.frombuffer(mm, dtype=np.int64, count=n_words)
 
@@ -86,9 +81,9 @@ def bytes_per_pass(pattern, line_size: int = DEFAULT_LINE_SIZE) -> int:
     return pattern.pass_length * (pattern.access_bytes or line_size)
 
 
-def _alloc_arena(n_bytes: int, hugepages: bool) -> np.ndarray:
+def _alloc_arena(n_bytes: int) -> np.ndarray:
     """Words of a walked arena, first-touched with index-derived values."""
-    arr = _alloc_words(n_bytes // 8, hugepages)
+    arr = _alloc_words(n_bytes // 8)
     arr[:] = np.arange(n_bytes // 8, dtype=np.int64) & 0xFFFF
     return arr
 
@@ -108,10 +103,10 @@ def _word_step(p) -> int:
 # and is None for a private arena.
 
 
-def _strided_kernel(p: StridedWalk, arena, hugepages):
+def _strided_kernel(p: StridedWalk, arena):
     step = _word_step(p)
     if arena is None:
-        arena = _alloc_arena(p.arena_bytes, hugepages)
+        arena = _alloc_arena(p.arena_bytes)
     view = arena[::step]
     fill = np.arange(len(view), dtype=np.int64)
     # a pass runs from start_offset to the arena's end, then from its start
@@ -132,9 +127,9 @@ def _strided_kernel(p: StridedWalk, arena, hugepages):
     return write_pass
 
 
-def _stream_kernel(p: StreamKernel, arena, hugepages):
+def _stream_kernel(p: StreamKernel, arena):
     n = p.n_elems
-    a, b, c = (_alloc_words(n, hugepages) for _ in range(3))
+    a, b, c = (_alloc_words(n) for _ in range(3))
     idx = np.arange(n, dtype=np.int64) & 0x3FF
     a[:] = idx
     b[:] = idx + 1
@@ -148,7 +143,7 @@ def _stream_kernel(p: StreamKernel, arena, hugepages):
     return stream_pass
 
 
-def _bucket_kernel(p: BucketSort, arena, hugepages):
+def _bucket_kernel(p: BucketSort, arena):
     keys = p.keys().astype(np.uint64)   # the simulator's keys
     buckets = ((keys * p.n_buckets) >> 32).astype(np.intp)
     out = np.zeros(p.n_keys, dtype=np.uint64)
@@ -169,8 +164,7 @@ _KERNELS = {
 }
 
 
-def _thread_main(idx, pattern, arena, hugepages, cpu, duration, barrier,
-                 results, errors):
+def _thread_main(idx, pattern, arena, cpu, duration, barrier, results, errors):
     """Thread idx of its workload: pin, then allocate and first-touch the
     kernel's state on that cpu, warm up, and time passes; fills results[idx],
     or errors[idx] on failure."""
@@ -181,7 +175,7 @@ def _thread_main(idx, pattern, arena, hugepages, cpu, duration, barrier,
             except (AttributeError, OSError) as e:
                 raise NativeError(f"cannot pin thread {threading.current_thread().name} "
                                   f"to cpu {cpu}: {e}") from e
-        run_pass = _KERNELS[type(pattern)](pattern, arena, hugepages)
+        run_pass = _KERNELS[type(pattern)](pattern, arena)
         run_pass()  # warm-up, untimed
         barrier.wait()
         bpp = bytes_per_pass(pattern)
@@ -224,12 +218,13 @@ def _check_cpu_hints(workloads) -> None:
                     )
 
 
-def _launch(workloads, duration, hugepages) -> list[NativeResult]:
-    """Run all workloads' threads concurrently behind one start barrier."""
+def _launch(workloads, duration) -> list[NativeResult]:
+    """Run all workloads' threads concurrently behind one start barrier.
+
+    Every arena is allocated here or by its thread, page-aligned; arena_base
+    only says which walks share one arena."""
     if duration <= 0:
         raise NativeError("duration must be > 0 seconds")
-    for w in workloads:
-        validate_workload(w)
     _check_cpu_hints(workloads)
 
     # an arena walked by several threads is allocated here, once; every other
@@ -237,7 +232,7 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
     shared = []
     for w in workloads:
         walkers = Counter((t.arena_base, t.pattern.arena_span) for t in w.threads)
-        shared.append({arena: _alloc_arena(arena[1], hugepages)
+        shared.append({arena: _alloc_arena(arena[1])
                        for arena, n in walkers.items() if n > 1 and arena[1] > 0})
 
     # per workload, indexed by thread
@@ -248,7 +243,7 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
         threading.Thread(
             target=_thread_main,
             args=(ti, t.pattern, shared[wi].get((t.arena_base, t.pattern.arena_span)),
-                  hugepages, t.cpu_hint, duration, barrier, results[wi], errors[wi]),
+                  t.cpu_hint, duration, barrier, results[wi], errors[wi]),
             name=f"{w.name}-{ti}",
             daemon=True,
         )
@@ -291,16 +286,13 @@ def _launch(workloads, duration, hugepages) -> list[NativeResult]:
     return out
 
 
-def run_native(w: WorkloadSpec, duration: float, hugepages: bool = False) -> NativeResult:
+def run_native(w: WorkloadSpec, duration: float) -> NativeResult:
     """Execute one workload natively for roughly duration seconds."""
-    return _launch([w], duration, hugepages)[0]
+    return _launch([w], duration)[0]
 
 
 def co_run(
-    primary: WorkloadSpec,
-    secondary: WorkloadSpec,
-    duration: float,
-    hugepages: bool = False,
+    primary: WorkloadSpec, secondary: WorkloadSpec, duration: float
 ) -> tuple[NativeResult, NativeResult]:
     """Run two workloads concurrently behind a common start barrier."""
     p_pins = {t.cpu_hint for t in primary.threads if t.cpu_hint is not None}
@@ -308,7 +300,7 @@ def co_run(
     clash = p_pins & s_pins
     if clash:
         raise NativeError(f"primary and secondary pinned to the same cpus: {sorted(clash)}")
-    res = _launch([primary, secondary], duration, hugepages)
+    res = _launch([primary, secondary], duration)
     return res[0], res[1]
 
 
@@ -321,18 +313,15 @@ class NativeRow:
 
 
 def native_interference_report(
-    primary: WorkloadSpec,
-    secondaries: list[WorkloadSpec],
-    duration: float,
-    hugepages: bool = False,
+    primary: WorkloadSpec, secondaries: list[WorkloadSpec], duration: float
 ) -> list[NativeRow]:
     """Primary bandwidth under each co-runner, normalized to the idle row."""
     idle = WorkloadSpec("idle", ())
-    base_res, _ = co_run(primary, idle, duration, hugepages)
+    base_res, _ = co_run(primary, idle, duration)
     baseline = base_res.aggregate_bandwidth
     rows = [NativeRow("idle", 1.0, base_res, None)]
     for s in secondaries:
-        pres, sres = co_run(primary, s, duration, hugepages)
+        pres, sres = co_run(primary, s, duration)
         norm = pres.aggregate_bandwidth / baseline if baseline > 0 else 0.0
         rows.append(NativeRow(s.name, norm, pres, sres))
     return rows

@@ -271,7 +271,7 @@ class WorkloadSpec:
         return max((end for _, end in self.arena_intervals()), default=0)
 
 
-def validate_workload(w: WorkloadSpec, line_size: int = 64) -> WorkloadSpec:
+def validate_workload(w: WorkloadSpec, line_size: int) -> WorkloadSpec:
     """Check that every arena is line-aligned and inside [0, 2**63), and that
     arenas are disjoint.  Walks whose arenas are equal share that arena;
     every other overlap is refused."""
@@ -485,6 +485,8 @@ def footprint(w: WorkloadSpec, g: CacheGeometry) -> int:
 # serialization
 
 _PATTERN_TYPES = (StridedWalk, StreamKernel, BucketSort)
+# a literal thread's JSON fields; its cpu is placed by the config's native.pins
+_THREAD_FIELDS = {"pattern": "dict", "arena_base": "int"}
 
 
 def _pattern_to_dict(p: Pattern) -> dict:
@@ -508,11 +510,7 @@ def workload_to_dict(w: WorkloadSpec) -> dict:
     return {
         "name": w.name,
         "threads": [
-            {
-                "pattern": _pattern_to_dict(t.pattern),
-                "arena_base": t.arena_base,
-                "cpu_hint": t.cpu_hint,
-            }
+            {"pattern": _pattern_to_dict(t.pattern), "arena_base": t.arena_base}
             for t in w.threads
         ],
     }
@@ -522,12 +520,8 @@ def workload_from_dict(d: dict) -> WorkloadSpec:
     _check_json(d, WorkloadSpec, "workload", PatternError)
     threads = []
     for t in d["threads"]:
-        _check_json(t, ThreadSpec, "thread", PatternError)
-        hint = t.get("cpu_hint")
-        if hint is not None and hint < 0:
-            raise PatternError(f"thread field 'cpu_hint' must be null or a non-negative "
-                               f"integer, got {hint}")
-        threads.append(ThreadSpec(_pattern_from_dict(t["pattern"]), t.get("arena_base", 0), hint))
+        _check_json(t, _THREAD_FIELDS, "thread", PatternError, required=("pattern",))
+        threads.append(ThreadSpec(_pattern_from_dict(t["pattern"]), t.get("arena_base", 0)))
     return WorkloadSpec(d["name"], threads)
 
 

@@ -378,7 +378,7 @@ UNWRITABLE_CONFIGS = [
     ({"geometry": {**TOY_GEOMETRY, "bank_bits": {"hi": 6, "lo": 5}}},
      "toy: bank_bits {\"hi\": 6, \"lo\": 5} does not match {\"hi\": 5, \"lo\": 5}"),
     ({"native": {"hugepages": "no"}},
-     "native field 'hugepages' must be boolean, got \"no\""),
+     "unknown native fields ['hugepages']"),
     ({"native": {"duration": True}},
      "native field 'duration' must be a number, got true"),
     ({"name": "../../escape"},
@@ -387,10 +387,10 @@ UNWRITABLE_CONFIGS = [
      "unknown geometry fields ['bank_bit']"),
     ({"primary": {"name": "p", "threads": [{"pattern": {
         "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "cpu_hint": "x"}]}},
-     "thread field 'cpu_hint' must be null or an integer, got \"x\""),
+     "unknown thread fields ['cpu_hint']"),
     ({"primary": {"name": "p", "threads": [{"pattern": {
         "variant": "StreamKernel", "kind": "triad", "n_elems": 8}, "cpu_hint": True}]}},
-     "thread field 'cpu_hint' must be null or an integer, got true"),
+     "unknown thread fields ['cpu_hint']"),
 ]
 
 
@@ -427,13 +427,13 @@ REFUSED_VALUES = [
      "generator 'onchip' field 'name' must be a string, got null"),
     ({"secondaries": [{"generator": "offchip", "threads": 1, "array_bytes": 2048,
                        "stride": 0}]},
-     "stride must be > 0, got 0"),
+     "unknown generator 'offchip' fields ['stride']"),
     (_literal({"variant": "StreamKernel", "kind": "triad", "n_elems": 8}, arena_base=-4096),
      "an arena of 'primary' spans bytes [-4096, -3904), outside [0, 2**63)"),
     (_literal({"variant": "StreamKernel", "kind": "triad", "n_elems": 8}, arena_base=2**70),
      f"an arena of 'primary' spans bytes [{2**70}, {2**70 + 192}), outside [0, 2**63)"),
     (_literal(WALK, cpu_hint=-1),
-     "thread field 'cpu_hint' must be null or a non-negative integer, got -1"),
+     "unknown thread fields ['cpu_hint']"),
     ({"secondaries": [{"generator": ["offchip"], "threads": 1}]},
      "unknown generator ['offchip']"),
     ({"secondaries": [{"generator": "onchip", "threads": 2**70}]},
@@ -446,6 +446,7 @@ REFUSED_VALUES = [
     ({"sim": {"per_thread_event_budget": 300000000},
       "secondaries": [{"generator": "offchip", "array_bytes": 2048}]},
      "refusing generator 'offchip': 15 threads x budget 300000000 is 4500000000 events"),
+    ({"sim": {"record_hit_miss": True}}, "unknown sim fields ['record_hit_miss']"),
 ]
 
 
@@ -499,19 +500,34 @@ def test_unsafe_workload_name_refused():
 
 
 def test_native_fields_keep_their_values():
-    d = toy_config_dict(native={"duration": 2, "hugepages": True, "pins": {"primary": [0]}})
+    d = toy_config_dict(native={"duration": 2, "pins": {"primary": [0]}})
     native = experiment_from_dict(d).native
-    assert (native.duration, native.hugepages, native.pins) == (2.0, True, {"primary": (0,)})
+    assert (native.duration, native.pins) == (2.0, {"primary": (0,)})
     with pytest.raises(ConfigError, match="native field 'pins'"):
         experiment_from_dict(toy_config_dict(native={"pins": {"primary": ["0"]}}))
 
 
+def _keys(value):
+    """Every object key anywhere in a parsed JSON value."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
 def test_emit_config_round_trip(tmp_path, capsys):
-    assert main(["emit-config", TOY_DEMO]) == 0
-    emitted = json.loads(capsys.readouterr().out)
-    p = tmp_path / "resolved.json"
-    p.write_text(json.dumps(emitted))
-    assert load_experiment(str(p)) == load_experiment(TOY_DEMO)
+    names = sorted(n for n in os.listdir(CONFIGS) if n.endswith(".json"))
+    assert names
+    for name in names:
+        config = os.path.join(CONFIGS, name)
+        assert main(["emit-config", config]) == 0
+        emitted = json.loads(capsys.readouterr().out)
+        # fields that repeat another one or change no output are not written
+        assert not _keys(emitted) & {"cpu_hint", "stride", "hugepages", "record_hit_miss"}
+        p = tmp_path / name
+        p.write_text(json.dumps(emitted))
+        assert load_experiment(str(p)) == load_experiment(config), name
 
 
 def test_seed_reseeds_bucket_sort(tmp_path, capsys):
@@ -571,3 +587,15 @@ def test_native_pin_outside_mask_exits_2(tmp_path, capsys):
     assert rc == 2
     assert f"cpu hint {cpu} not in usable set" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_native_runs_what_sim_accepts(tmp_path, capsys):
+    # a walk at arena_base 32 is line-aligned on the toy geometry's 32-byte
+    # lines; native allocates its own page-aligned arenas
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(toy_config_dict(
+        **_literal({**WALK, "arena_bytes": 1024, "stride_bytes": 32}, arena_base=32))))
+    assert main(["sim", str(p)]) == 0
+    assert main(["native", str(p), "--skip-hw-checks", "--duration", "0.05"]) == 0
+    out = capsys.readouterr().out
+    assert "primary@harm.offchip," in out

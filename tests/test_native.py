@@ -52,7 +52,7 @@ def test_run_native_accounts_bytes_exactly():
 
 
 def _pass_fn(p, arena=None):
-    return _KERNELS[type(p)](p, arena, False)
+    return _KERNELS[type(p)](p, arena)
 
 
 def _bucket_checksum(n_keys, n_buckets, seed):
@@ -106,7 +106,7 @@ def test_shared_walk_checksum_closed_form():
     for op_mix, expected in (("read", _walk_read_checksum(1 << 20, 64)),
                              ("write", 16383 * 16384 // 2)):
         walk = StridedWalk(1 << 20, 64, op_mix, start_offset=64 * 1000)
-        run_pass = _pass_fn(walk, _alloc_arena(1 << 20, False))
+        run_pass = _pass_fn(walk, _alloc_arena(1 << 20))
         assert [run_pass() for _ in range(3)] == [expected] * 3
 
 
@@ -136,9 +136,9 @@ def test_shared_arena_walkers(monkeypatch):
     # the two walkers at one base get one array; the private walk its own
     arenas = []
 
-    def recorded(p, arena, hugepages):
+    def recorded(p, arena):
         arenas.append(arena)
-        return native._strided_kernel(p, arena, hugepages)
+        return native._strided_kernel(p, arena)
     monkeypatch.setitem(_KERNELS, StridedWalk, recorded)
     on = gen_onchip_antagonist(preset("toy"), 2)
     w = WorkloadSpec("w", (*on.threads, ThreadSpec(StridedWalk(4096, 64), 8192)))

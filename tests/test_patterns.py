@@ -107,6 +107,11 @@ def test_offchip_strict_stride_check():
     assert w.threads[0].pattern.stride_bytes == 128 * 1024
 
 
+def test_offchip_stride_must_be_positive():
+    with pytest.raises(PatternError, match="stride must be > 0, got 0"):
+        gen_offchip_antagonist(preset("toy"), 1, stride=0)
+
+
 def test_offchip_op_mix():
     g = preset("toy")
     w = gen_offchip_antagonist(g, 1, array_bytes=4096, op_mix="write")
@@ -274,7 +279,7 @@ def test_shared_walk_uses_arena_base():
     # two walks at one base share its arena, each from its own offset
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(256, 64, "read", 0), 1 << 20),
                            ThreadSpec(StridedWalk(256, 128, "write", 128), 1 << 20)))
-    validate_workload(w)
+    validate_workload(w, 64)
     assert w.arena_intervals() == [(1 << 20, (1 << 20) + 256)]
     assert list(iter_ops(w, 0, 5)) == [("r", (1 << 20) + a) for a in (0, 64, 128, 192, 0)]
     assert list(iter_ops(w, 1, 3)) == [("w", (1 << 20) + a) for a in (128, 0, 128)]
@@ -299,11 +304,11 @@ def test_validate_rejects_partial_walk_overlap():
     # one arena is shared only by walks whose ranges are equal
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(4096, 64)), ThreadSpec(StridedWalk(2048, 64))))
     with pytest.raises(PatternError, match="arenas overlap at 0x0"):
-        validate_workload(w)
+        validate_workload(w, 64)
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(4096, 64)),
                            ThreadSpec(StridedWalk(4096, 64), 2048)))
     with pytest.raises(PatternError, match="arenas overlap at 0x800"):
-        validate_workload(w)
+        validate_workload(w, 64)
 
 
 @pytest.mark.parametrize("first, second", [
@@ -314,7 +319,7 @@ def test_validate_rejects_partial_walk_overlap():
 def test_validate_rejects_equal_arenas_unless_walks(first, second):
     w = WorkloadSpec("w", (ThreadSpec(first, 4096), ThreadSpec(second, 4096)))
     with pytest.raises(PatternError, match="thread 1 reuses the arena at 0x1000"):
-        validate_workload(w)
+        validate_workload(w, 64)
 
 
 def test_arena_intervals_and_end():
@@ -353,17 +358,21 @@ def test_with_pinning():
 
 
 def test_workload_round_trip():
+    sweep = gen_offchip_antagonist(preset("harpertown"), 2, 64 * MIB, stride=64, strict=False)
     samples = [
         gen_offchip_antagonist(preset("t1"), 3),
         gen_onchip_antagonist(preset("toy"), 2),
         gen_stream("triad", 128),
         gen_bucket_sort(50, 5, iterations=2, seed=9),
-        with_pinning(gen_offchip_antagonist(preset("harpertown"), 2, 64 * MIB, stride=64,
-                                            strict=False), [0, 1]),
+        sweep,
         WorkloadSpec("w", (ThreadSpec(StridedWalk(256, 64, "readwrite", 128), 1024),)),
     ]
     for w in samples:
         assert workload_from_dict(workload_to_dict(w)) == w
+    # a config pins threads through native.pins, so a thread's JSON has no cpu
+    pinned = workload_to_dict(with_pinning(sweep, [0, 1]))
+    assert [sorted(t) for t in pinned["threads"]] == [["arena_base", "pattern"]] * 2
+    assert workload_from_dict(pinned) == sweep
 
 
 def test_workload_from_dict_rejects_junk():
