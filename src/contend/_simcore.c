@@ -2,10 +2,11 @@
  * pure-Python _run, which stays the reference it is tested against.
  *
  * Thread i issues n_events[i] accesses, cycling through its line feed
- * feed[i][0 .. feed_len[i]); entry e names line base_line[i] + (e >> 1),
- * written when e & 1.  The cache index is line & set_mask: with the bank
- * and set fields directly above the line offset, that is a bijection with
- * the (bank, set) pairs.  Each set keeps its ways most recent first, as
+ * feed[i][0 .. feed_len[i]) from feed[i][start[i]] on; entry e names line
+ * base_line[i] + (e >> 1), written when e & 1.  Threads may share a feed,
+ * each from its own start.  The cache index is line & set_mask: with the
+ * bank and set fields directly above the line offset, that is a bijection
+ * with the (bank, set) pairs.  Each set keeps its ways most recent first, as
  * line << 1 | dirty, so lines must stay below 2^63.
  *
  * Threads run in (ready time, id) order, so ids numbered in (workload,
@@ -30,8 +31,8 @@ struct thread {
 };
 
 int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_len,
-                const int64_t *n_events, const uint64_t *base_line, const int32_t *wl,
-                uint64_t set_mask, int64_t assoc, int64_t hit_latency,
+                const int64_t *start, const int64_t *n_events, const uint64_t *base_line,
+                const int32_t *wl, uint64_t set_mask, int64_t assoc, int64_t hit_latency,
                 int64_t mem_latency, int64_t interval, int wb_slot,
                 int64_t *accesses, int64_t *hits, int64_t *fetched,
                 int64_t *written_back, int64_t *finish, int64_t *totals,
@@ -47,6 +48,7 @@ int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_
     int ok = ways && fill && th && hq && mq;
 
     for (int i = 0; ok && i < n_threads; i++) {
+        th[i].pos = start[i];
         if (i > 0) th[i].label_at = th[i - 1].label_at + n_events[i - 1];
         if (n_events[i] > 0) hq[ht++] = i;  /* all ready at 0, in id order */
     }

@@ -82,6 +82,11 @@ class StridedWalk:
         """Accesses in one full pass over the arena."""
         return self.arena_bytes // self.stride_bytes
 
+    @property
+    def period(self) -> int:
+        """Events after which the stream repeats: whole passes and op cycles."""
+        return math.lcm(self.pass_length, len(OP_MIXES[self.op_mix]))
+
     def ops(self, base: int) -> Iterator[tuple[str, int]]:
         """Endless passes from start_offset, wrapping to the arena start;
         readwrite alternates ops from the first event, across pass boundaries."""
@@ -93,9 +98,8 @@ class StridedWalk:
 
     def line_feed(self, line_shift: int, limit: int) -> tuple[np.ndarray, int]:
         ops = OP_MIXES[self.op_mix]
-        period = math.lcm(self.pass_length, len(ops))
         feed = _walk_lines(self.start_offset // self.stride_bytes, self.pass_length,
-                           min(period, limit), self.stride_bytes, line_shift)
+                           min(self.period, limit), self.stride_bytes, line_shift)
         for j, op in enumerate(ops):
             if op == WRITE:
                 feed[j::len(ops)] |= 1

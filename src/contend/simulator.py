@@ -17,9 +17,10 @@ pure-Python loop that is also the compiled loop's reference.
 
 The runs behind one result (a co-run and the solo runs that give its
 baselines, or every run of an interference report) are independent, so
-_run_many checks them all and builds each line feed once, then runs the
-compiled loops side by side on the CPUs this process may use.  Every result
-is the one a serial run gives.
+_run_many checks them all and builds each line feed once (walks of one
+arena read one feed, each from its own step), then runs the compiled loops
+side by side on the CPUs this process may use.  Every result is the one a
+serial run gives.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .geometry import CacheGeometry, bank_of, set_of, validate_geometry
 from .native import available_cpus
-from .patterns import WorkloadSpec, iter_ops, validate_workload
+from .patterns import OP_MIXES, StridedWalk, WorkloadSpec, iter_ops, validate_workload
 
 # a line feed entry holds line << 1 | is_write in 32 bits
 MAX_ARENA_LINES = 1 << 31
@@ -293,33 +294,65 @@ def _simcore():
               f"with the slower pure-Python loop", file=sys.stderr)
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ctypes.c_uint64, i64, i64,
+    fn.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_uint64, i64, i64,
                    i64, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     fn.restype = ctypes.c_int
     return fn
 
 
-def _line_feed(pattern, line_shift: int, budget: int) -> tuple[np.ndarray, int]:
-    """pattern's (line feed, events) at budget, checked for the kernel."""
-    feed, n = pattern.line_feed(line_shift, budget)
-    # the kernel reads feed[0 .. len) as contiguous uint32
-    if feed.dtype != np.uint32 or not feed.flags.c_contiguous or (n and not len(feed)):
+def _line_feed(pattern, line_shift: int, limit: int, starts=(0,)) -> tuple[np.ndarray, int]:
+    """pattern's (line feed, events) at limit, checked for the kernel, which
+    reads it as contiguous uint32 from each of starts on."""
+    feed, n = pattern.line_feed(line_shift, limit)
+    if (feed.dtype != np.uint32 or not feed.flags.c_contiguous
+            or (n and not all(0 <= s < len(feed) for s in starts))):
         raise SimulationError(f"unusable line feed from {pattern!r}")
     return feed, n
+
+
+def _plan_feeds(patterns, line_shift: int, budget: int) -> dict:
+    """Each pattern's (line feed, events, start index) at budget, each feed
+    built once and checked for the kernel.
+
+    Walks that differ only in their start step, by a multiple of their op
+    cycle (a readwrite walk starts its cycle at its own first event), read
+    one feed: the walk from their least step, long enough for the greatest
+    to run budget events, each from its own step.  They do so only where
+    that feed is no longer than the feeds it replaces; otherwise each walk
+    has its own, from index 0, like every other pattern."""
+    plan, walks = {}, collections.defaultdict(list)
+    for p in patterns:
+        if type(p) is StridedWalk:
+            step = p.start_offset // p.stride_bytes
+            walks[p.arena_bytes, p.stride_bytes, p.op_mix,
+                  step % len(OP_MIXES[p.op_mix])].append((step, p))
+        else:
+            plan[p] = (*_line_feed(p, line_shift, budget), 0)
+    for group in walks.values():
+        # the steps of a group are distinct, so its (step, walk) pairs order by step
+        (first, lead), last = min(group), max(group)[0]
+        span = last - first + budget
+        if min(lead.period, span) <= len(group) * min(lead.period, budget):
+            feed, _ = _line_feed(lead, line_shift, span, [step - first for step, _ in group])
+            plan.update((p, (feed, budget, step - first)) for step, p in group)
+        else:
+            plan.update((p, (*_line_feed(p, line_shift, budget), 0)) for _, p in group)
+    return plan
 
 
 def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
                   feed_of: dict) -> dict:
     """_run's result from the compiled loop, for workloads whose placement
     _run_many has checked; feed_of maps each of their patterns to its
-    (line feed, events) at cfg."""
+    (line feed, events, start index) at cfg."""
     g = cfg.geometry
     line_shift = g.line_shift
-    feeds, n_events, base_line, wl = [], [], [], []
+    feeds, starts, n_events, base_line, wl = [], [], [], [], []
     for wi, w in enumerate(workloads):
         for t in w.threads:
-            feed, n = feed_of[t.pattern]   # equal patterns share a feed
+            feed, n, start = feed_of[t.pattern]   # walks of one arena may share a feed
             feeds.append(feed)
+            starts.append(start)
             n_events.append(n)
             base_line.append(t.arena_base >> line_shift)
             wl.append(wi)
@@ -328,7 +361,7 @@ def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
     totals = np.zeros(2, np.int64)
     labels = np.zeros(sum(n_events), np.uint8) if cfg.record_hit_miss else None
     arrays = [np.array([f.ctypes.data for f in feeds], np.uintp),
-              np.array([len(f) for f in feeds], np.int64),
+              np.array([len(f) for f in feeds], np.int64), np.array(starts, np.int64),
               np.array(n_events, np.int64), np.array(base_line, np.uint64),
               np.array(wl, np.int32)]
     rc = kernel(len(feeds), *(a.ctypes.data for a in arrays),
@@ -377,11 +410,12 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
 
     In the calling thread: build the kernel, check every run's placement in
     order, refuse a runaway plan, print the size of a large one on stderr,
-    and build each distinct pattern's line feed once.  Then one worker per
-    allowed CPU, the caller among them, takes the longest run left until
-    none is; the compiled loop releases the interpreter lock, so the loops
-    run side by side.  The first failure in
-    run order is raised once every worker has stopped.
+    and build the line feeds of all runs once (_plan_feeds: a feed that
+    walks share is never longer than those it replaces, so the bound on
+    feed bytes holds).  Then one worker per allowed CPU, the caller among
+    them, takes the longest run left until none is; the compiled loop
+    releases the interpreter lock, so the loops run side by side.  The
+    first failure in run order is raised once every worker has stopped.
 
     A new thread starts on its creator's CPU, and Linux may leave both there
     for longer than a run takes: on a 2-vCPU VM, unpinned workers shared one
@@ -405,7 +439,7 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
                               f"{MAX_PLAN_EVENTS} events and {MAX_FEED_BYTES} bytes")
     if sum(events) > ESTIMATE_EVENTS:
         print(f"contend: simulating {plan}", file=sys.stderr)
-    feed_of = {p: _line_feed(p, g.line_shift, budget) for p in patterns} if kernel else {}
+    feed_of = _plan_feeds(patterns, g.line_shift, budget) if kernel else {}
 
     raws, errors = [None] * len(runs), {}
     # longest first; sorted is stable, so equal runs keep their order

@@ -3,6 +3,7 @@ import random
 import shutil
 import sys
 import threading
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -427,10 +428,9 @@ def test_compiled_kernel_loads():
 
 
 def run_compiled(ws, cfg):
-    """_run_compiled on ws with the line feeds that _run_many would build."""
-    feed_of = {t.pattern: simulator._line_feed(t.pattern, cfg.geometry.line_shift,
-                                               cfg.per_thread_event_budget)
-               for w in ws for t in w.threads}
+    """_run_compiled on ws with the line feeds that _run_many builds."""
+    feed_of = simulator._plan_feeds(dict.fromkeys(t.pattern for w in ws for t in w.threads),
+                                    cfg.geometry.line_shift, cfg.per_thread_event_budget)
     return simulator._run_compiled(simulator._simcore(), ws, cfg, feed_of)
 
 
@@ -462,6 +462,15 @@ def fixed_runs():
                                         mc_service_interval=interval,
                                         per_thread_event_budget=300, record_hit_miss=True),
                            id=f"latencies-tie-{interval}")
+    # readwrite walks of one 160-line arena at steps 0, 1, 2 and 5: those at
+    # 0 and 2 read one feed, those at 1 and 5 another, each from its own step
+    walk = StridedWalk(160 * 32, 32, "readwrite")
+    walks = WorkloadSpec("walks", tuple(ThreadSpec(replace(walk, start_offset=32 * step))
+                                        for step in (0, 1, 2, 5)))
+    shared = pack([gen_stream("triad", 48), walks], 4096)
+    for budget in (100, 400):   # below one pass and above it
+        yield pytest.param(shared, toy_cfg(per_thread_event_budget=budget, record_hit_miss=True),
+                           id=f"shared-walk-feeds-{budget}")
 
 
 @needs_cc
@@ -472,6 +481,18 @@ def test_compiled_loop_matches_run_on_fixed_runs(ws, cfg):
     assert run_compiled(ws, cfg) == raw
 
 
+def count_feeds(monkeypatch):
+    """The (pattern, entries) of every line feed built from now on."""
+    built = []
+    for cls in (StreamKernel, StridedWalk):
+        def counted(self, line_shift, limit, line_feed=cls.line_feed):
+            feed, n = line_feed(self, line_shift, limit)
+            built.append((self, len(feed)))
+            return feed, n
+        monkeypatch.setattr(cls, "line_feed", counted)
+    return built
+
+
 @needs_cc
 def test_interference_report_builds_each_feed_once(monkeypatch):
     v = gen_stream("triad", 32)
@@ -479,16 +500,42 @@ def test_interference_report_builds_each_feed_once(monkeypatch):
     on = relocate(gen_onchip_antagonist(TOY, 2), 8192)
     cfg = toy_cfg(per_thread_event_budget=1500)
     expected = interference_report(v, [off, on], cfg)
-    built = []
-    for cls in (StreamKernel, StridedWalk):
-        def counted(self, line_shift, limit, line_feed=cls.line_feed):
-            built.append(self)
-            return line_feed(self, line_shift, limit)
-        monkeypatch.setattr(cls, "line_feed", counted)
+    built = count_feeds(monkeypatch)
     assert interference_report(v, [off, on], cfg) == expected
-    # the triad, the off-chip walk shared by both its threads, and the two
-    # on-chip walks from different offsets
-    assert len(built) == len(set(built)) == 4
+    # the triad, the off-chip walk shared by both its threads, and one feed
+    # that both on-chip walks read, each from its own offset
+    patterns = [p for p, _ in built]
+    assert len(patterns) == len(set(patterns)) == 3
+
+
+@needs_cc
+def test_walks_share_a_feed_only_when_it_is_no_longer(monkeypatch):
+    # one feed from step 0 to step 2**19 + 16 would replace two of 16 entries
+    walk = StridedWalk((1 << 20) * 32, 32)
+    w = WorkloadSpec("w", (ThreadSpec(walk),
+                           ThreadSpec(replace(walk, start_offset=(1 << 19) * 32))))
+    cfg = toy_cfg(per_thread_event_budget=16)
+    expected = simulator._run([w], cfg)
+    built = count_feeds(monkeypatch)
+    assert simulator._run_many([[w]], cfg) == [expected]
+    assert [n for _, n in built] == [16, 16]
+
+
+@needs_cc
+def test_start_past_a_feed_refused_before_the_loop(monkeypatch):
+    def never(*args):
+        raise AssertionError("a feed too short for a start reached the loop")
+
+    line_feed = StridedWalk.line_feed
+    monkeypatch.setattr(StridedWalk, "line_feed",
+                        lambda self, line_shift, limit: (line_feed(self, line_shift, limit)[0][:2],
+                                                         limit))
+    monkeypatch.setattr(simulator, "_run_compiled", never)
+    # steps 0 and 2 of one walk read one feed, the second from index 2
+    w = WorkloadSpec("w", tuple(ThreadSpec(StridedWalk(16 * 32, 32, start_offset=32 * step))
+                                for step in (0, 2)))
+    with pytest.raises(SimulationError, match="unusable line feed"):
+        simulate([w], toy_cfg(per_thread_event_budget=4))
 
 
 @settings(max_examples=200, deadline=None)
