@@ -35,7 +35,6 @@ from .patterns import (
     gen_stream,
     relocate,
     validate_workload,
-    with_pinning,
     workload_from_dict,
     workload_to_dict,
     write_trace_csv,

@@ -21,7 +21,6 @@ from .experiment import (
     ExperimentConfig,
     experiment_to_dict,
     load_experiment,
-    pinned_workloads,
 )
 from .geometry import GeometryError, conflict_stride, preset, preset_names
 from .native import (
@@ -115,9 +114,9 @@ def _native_row(label: str, res: NativeResult, norm: float | None) -> dict:
 
 
 def _native_rows(cfg: ExperimentConfig) -> list[dict]:
-    prim, secs = pinned_workloads(cfg)
     rows = []
-    for r in native_interference_report(prim, secs, cfg.native.duration):
+    for r in native_interference_report(cfg.primary, list(cfg.secondaries),
+                                        cfg.native.duration):
         rows.append(_native_row(f"primary@{r.secondary}", r.primary,
                                 r.normalized_bandwidth))
         if r.secondary_result is not None:
@@ -224,7 +223,7 @@ def hardware_problems(cfg: ExperimentConfig) -> list[str]:
     usable = available_cpus()
     if len(usable) < 2:
         problems.append(f"only {len(usable)} usable cpu(s); co-run threads would timeshare")
-    if not cfg.native.pins:
+    if not any(w.cpus for w in (cfg.primary, *cfg.secondaries)):
         problems.append("no pin map in config; threads may share cores arbitrarily")
     return problems
 

@@ -42,7 +42,6 @@ from .patterns import (
     gen_stream,
     relocate,
     validate_workload,
-    with_pinning,
     workload_from_dict,
     workload_to_dict,
 )
@@ -58,16 +57,12 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class NativeOptions:
     duration: float = 1.0
-    pins: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0 < self.duration < math.inf:
             raise ConfigError(f"native field 'duration' must be a positive number of "
                               f"seconds, got {json.dumps(self.duration)}")
         object.__setattr__(self, "duration", float(self.duration))
-        object.__setattr__(
-            self, "pins", {k: tuple(v) for k, v in self.pins.items()}
-        )
 
 
 @dataclass(frozen=True)
@@ -93,6 +88,8 @@ _EXPERIMENT_FIELDS = {"name": "str", "geometry": "str | dict", "sim": "dict",
                       "primary": "dict", "secondaries": "list", "native": "dict"}
 _SIM_FIELDS = {f.name: f.type for f in fields(SimConfig)
                if f.name not in ("geometry", "record_hit_miss")}
+# pins maps workload names to cpu lists, kept on each workload as its cpus
+_NATIVE_FIELDS = {"duration": "float", "pins": "dict"}
 # each generator: its function, whether it takes the geometry, its config
 # fields with their annotations, and the required ones; every default lives
 # in the gen_* signature.  An off-chip walker steps by the conflict stride,
@@ -137,7 +134,7 @@ def _build_workload(d: dict, g: CacheGeometry, budget: int) -> WorkloadSpec:
 
 
 def _rename(w: WorkloadSpec, name: str) -> WorkloadSpec:
-    return WorkloadSpec(name, w.threads)
+    return WorkloadSpec(name, w.threads, w.cpus)
 
 
 def _check_name(name: str, what: str) -> str:
@@ -185,17 +182,22 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
         raise ConfigError('secondary names "primary" and "idle" are reserved')
 
     native_over = d.get("native", {})
-    _check_json(native_over, NativeOptions, "native", ConfigError)
+    _check_json(native_over, _NATIVE_FIELDS, "native", ConfigError)
+    native = NativeOptions(**{k: v for k, v in native_over.items() if k != "pins"})
     pins = native_over.get("pins", {})
-    if not all(type(cpus) is list and all(type(c) is int for c in cpus)
-               for cpus in pins.values()):
-        raise ConfigError(f"native field 'pins' must map workload names to lists "
-                          f"of cpu numbers, got {json.dumps(pins)}")
-    native = NativeOptions(**native_over)
     known = {PRIMARY_NAME, *names}
-    for pinned in native.pins:
+    for pinned, cpus in pins.items():
+        if not (type(cpus) is list and cpus
+                and all(type(c) is int and c >= 0 for c in cpus)):
+            raise ConfigError(f"native field 'pins' must map workload names to non-empty "
+                              f"lists of cpu numbers >= 0, got {json.dumps(pinned)}: "
+                              f"{json.dumps(cpus)}")
         if pinned not in known:
             raise ConfigError(f"pin target {pinned!r} is not a workload in this experiment")
+    if PRIMARY_NAME in pins:
+        primary = WorkloadSpec(primary.name, primary.threads, pins[PRIMARY_NAME])
+    secondaries = [WorkloadSpec(s.name, s.threads, pins[s.name]) if s.name in pins else s
+                   for s in secondaries]
 
     return ExperimentConfig(
         name=_check_name(d.get("name", "experiment"), "experiment name"),
@@ -228,18 +230,7 @@ def experiment_to_dict(cfg: ExperimentConfig) -> dict:
         "secondaries": [workload_to_dict(s) for s in cfg.secondaries],
         "native": {
             "duration": cfg.native.duration,
-            "pins": {k: list(v) for k, v in cfg.native.pins.items()},
+            "pins": {w.name: list(w.cpus) for w in (cfg.primary, *cfg.secondaries) if w.cpus},
         },
     }
 
-
-def pinned_workloads(cfg: ExperimentConfig) -> tuple[WorkloadSpec, list[WorkloadSpec]]:
-    """Apply the native pin map to the experiment's workloads."""
-    prim = cfg.primary
-    if PRIMARY_NAME in cfg.native.pins:
-        prim = with_pinning(prim, cfg.native.pins[PRIMARY_NAME])
-    secs = [
-        with_pinning(s, cfg.native.pins[s.name]) if s.name in cfg.native.pins else s
-        for s in cfg.secondaries
-    ]
-    return prim, secs

@@ -204,17 +204,24 @@ def _thread_main(idx, pattern, arena, cpu, duration, barrier, results, errors):
             pass
 
 
-def _check_cpu_hints(workloads) -> None:
+def _thread_cpus(w: WorkloadSpec) -> list[int | None]:
+    """The cpu of each of w's threads: its cpus round-robin, or None for all
+    when the list is empty."""
+    if not w.cpus:
+        return [None] * len(w.threads)
+    return [w.cpus[i % len(w.cpus)] for i in range(len(w.threads))]
+
+
+def _check_pins(workloads, placements) -> None:
     usable = available_cpus()
-    for w in workloads:
-        for t in w.threads:
-            if t.cpu_hint is not None:
+    for w, cpus in zip(workloads, placements):
+        for cpu in cpus:
+            if cpu is not None:
                 if not pinning_supported():
                     raise NativeError("cpu pinning is not supported on this host")
-                if t.cpu_hint not in usable:
+                if cpu not in usable:
                     raise NativeError(
-                        f"{w.name}: cpu hint {t.cpu_hint} not in usable set "
-                        f"{sorted(usable)}"
+                        f"{w.name}: pinned cpu {cpu} not in usable set {sorted(usable)}"
                     )
 
 
@@ -225,7 +232,8 @@ def _launch(workloads, duration) -> list[NativeResult]:
     only says which walks share one arena."""
     if duration <= 0:
         raise NativeError("duration must be > 0 seconds")
-    _check_cpu_hints(workloads)
+    placements = [_thread_cpus(w) for w in workloads]
+    _check_pins(workloads, placements)
 
     # an arena walked by several threads is allocated here, once; every other
     # arena by its own thread, which so first-touches it on its pinned cpu
@@ -243,7 +251,7 @@ def _launch(workloads, duration) -> list[NativeResult]:
         threading.Thread(
             target=_thread_main,
             args=(ti, t.pattern, shared[wi].get((t.arena_base, t.pattern.arena_span)),
-                  t.cpu_hint, duration, barrier, results[wi], errors[wi]),
+                  placements[wi][ti], duration, barrier, results[wi], errors[wi]),
             name=f"{w.name}-{ti}",
             daemon=True,
         )
@@ -295,9 +303,8 @@ def co_run(
     primary: WorkloadSpec, secondary: WorkloadSpec, duration: float
 ) -> tuple[NativeResult, NativeResult]:
     """Run two workloads concurrently behind a common start barrier."""
-    p_pins = {t.cpu_hint for t in primary.threads if t.cpu_hint is not None}
-    s_pins = {t.cpu_hint for t in secondary.threads if t.cpu_hint is not None}
-    clash = p_pins & s_pins
+    # only cpus that some thread runs on can clash
+    clash = (set(_thread_cpus(primary)) & set(_thread_cpus(secondary))) - {None}
     if clash:
         raise NativeError(f"primary and secondary pinned to the same cpus: {sorted(clash)}")
     res = _launch([primary, secondary], duration)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, cycle, islice, repeat
 from typing import Iterator, Union
 
@@ -253,16 +253,19 @@ Pattern = Union[StridedWalk, StreamKernel, BucketSort]
 class ThreadSpec:
     pattern: Pattern
     arena_base: int = 0
-    cpu_hint: int | None = None
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
+    """A named set of threads.  cpus places them natively: thread i runs on
+    cpus[i % len(cpus)]; an empty tuple leaves every thread unpinned."""
     name: str
     threads: tuple[ThreadSpec, ...]
+    cpus: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "threads", tuple(self.threads))
+        object.__setattr__(self, "cpus", tuple(self.cpus))
 
     def arena_intervals(self) -> list[tuple[int, int]]:
         """Distinct half-open [base, end) byte ranges claimed by this workload;
@@ -312,16 +315,6 @@ def validate_workload(w: WorkloadSpec, line_size: int) -> WorkloadSpec:
 # workload generators
 
 
-def _hints(cpus, n):
-    if cpus is None:
-        return [None] * n
-    cpus = list(cpus)
-    if not cpus:
-        raise PatternError("cpu list must not be empty")
-    # fewer cpus than threads: assign round-robin
-    return [cpus[i % len(cpus)] for i in range(n)]
-
-
 def gen_offchip_antagonist(
     g: CacheGeometry,
     n_threads: int = 15,
@@ -330,7 +323,7 @@ def gen_offchip_antagonist(
     op_mix: str = "read",
     base: int = 0,
     strict: bool = True,
-    cpus=None,
+    cpus=(),
 ) -> WorkloadSpec:
     """Same-set strided walkers: maximal memory traffic, minimal set footprint.
 
@@ -355,15 +348,12 @@ def gen_offchip_antagonist(
     if base % g.line_size != 0:
         raise PatternError(f"base {base:#x} not line-aligned")
     walk = StridedWalk(array_bytes, stride, op_mix)
-    hints = _hints(cpus, n_threads)
-    threads = [
-        ThreadSpec(walk, base + t * array_bytes, hints[t]) for t in range(n_threads)
-    ]
-    return WorkloadSpec("harm.offchip", tuple(threads))
+    threads = [ThreadSpec(walk, base + t * array_bytes) for t in range(n_threads)]
+    return WorkloadSpec("harm.offchip", threads, cpus)
 
 
 def gen_onchip_antagonist(
-    g: CacheGeometry, n_threads: int = 4, base: int = 0, cpus=None
+    g: CacheGeometry, n_threads: int = 4, base: int = 0, cpus=()
 ) -> WorkloadSpec:
     """Whole-cache walkers over one shared capacity-sized arena.
 
@@ -377,19 +367,17 @@ def gen_onchip_antagonist(
         raise PatternError(f"base {base:#x} not line-aligned")
     cap = g.capacity
     line = g.line_size
-    hints = _hints(cpus, n_threads)
     threads = [
-        ThreadSpec(StridedWalk(cap, line, "read", (t * cap // n_threads) // line * line),
-                   base, hints[t])
+        ThreadSpec(StridedWalk(cap, line, "read", (t * cap // n_threads) // line * line), base)
         for t in range(n_threads)
     ]
-    return WorkloadSpec("harm.onchip", tuple(threads))
+    return WorkloadSpec("harm.onchip", threads, cpus)
 
 
 def gen_stream(kind: str, n_elems: int, base: int = 0, cpu: int | None = None) -> WorkloadSpec:
     """Single-threaded vector kernel over arrays a, b, c laid back to back."""
     k = StreamKernel(kind, n_elems)
-    return WorkloadSpec(f"stream.{kind}", (ThreadSpec(k, base, cpu),))
+    return WorkloadSpec(f"stream.{kind}", (ThreadSpec(k, base),), () if cpu is None else (cpu,))
 
 
 def gen_bucket_sort(
@@ -402,14 +390,7 @@ def gen_bucket_sort(
 ) -> WorkloadSpec:
     """Single-threaded seeded bucket sort over 32-bit keys."""
     p = BucketSort(n_keys, n_buckets, iterations, seed)
-    return WorkloadSpec("bucketsort", (ThreadSpec(p, base, cpu),))
-
-
-def with_pinning(w: WorkloadSpec, cpus) -> WorkloadSpec:
-    """Copy of w with cpu hints assigned thread-by-thread."""
-    hints = _hints(cpus, len(w.threads))
-    threads = tuple(replace(t, cpu_hint=hints[i]) for i, t in enumerate(w.threads))
-    return WorkloadSpec(w.name, threads)
+    return WorkloadSpec("bucketsort", (ThreadSpec(p, base),), () if cpu is None else (cpu,))
 
 
 def relocate(w: WorkloadSpec, new_base: int) -> WorkloadSpec:
@@ -417,8 +398,8 @@ def relocate(w: WorkloadSpec, new_base: int) -> WorkloadSpec:
     if not w.threads:
         return w
     delta = new_base - min(t.arena_base for t in w.threads)
-    return WorkloadSpec(w.name, [ThreadSpec(t.pattern, t.arena_base + delta, t.cpu_hint)
-                                 for t in w.threads])
+    return WorkloadSpec(w.name, [ThreadSpec(t.pattern, t.arena_base + delta)
+                                 for t in w.threads], w.cpus)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +470,9 @@ def footprint(w: WorkloadSpec, g: CacheGeometry) -> int:
 # serialization
 
 _PATTERN_TYPES = (StridedWalk, StreamKernel, BucketSort)
-# a literal thread's JSON fields; its cpu is placed by the config's native.pins
+# a literal workload's and thread's JSON fields; a workload's cpus come
+# from the config's pin map
+_WORKLOAD_FIELDS = {"name": "str", "threads": "list"}
 _THREAD_FIELDS = {"pattern": "dict", "arena_base": "int"}
 
 
@@ -521,7 +504,7 @@ def workload_to_dict(w: WorkloadSpec) -> dict:
 
 
 def workload_from_dict(d: dict) -> WorkloadSpec:
-    _check_json(d, WorkloadSpec, "workload", PatternError)
+    _check_json(d, _WORKLOAD_FIELDS, "workload", PatternError, required=("name", "threads"))
     threads = []
     for t in d["threads"]:
         _check_json(t, _THREAD_FIELDS, "thread", PatternError, required=("pattern",))

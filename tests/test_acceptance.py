@@ -12,6 +12,7 @@ import os
 import random
 import statistics
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +30,6 @@ from contend.patterns import (
     gen_onchip_antagonist,
     gen_stream,
     iter_ops,
-    with_pinning,
 )
 from contend.simulator import (
     LruBankedCache,
@@ -277,7 +277,7 @@ def test_native_offchip_degrades_stream_triad():
 
     llc = _llc_bytes()
     n_elems = max((4 * llc + 23) // 24, 1 << 20)
-    victim = with_pinning(gen_stream("triad", n_elems), [cpus[0]])
+    victim = replace(gen_stream("triad", n_elems), cpus=(cpus[0],))
     ant_cpus = cpus[1:][:4]
     ant = gen_offchip_antagonist(
         preset("harpertown"), len(ant_cpus),

@@ -447,6 +447,12 @@ REFUSED_VALUES = [
       "secondaries": [{"generator": "offchip", "array_bytes": 2048}]},
      "refusing generator 'offchip': 15 threads x budget 300000000 is 4500000000 events"),
     ({"sim": {"record_hit_miss": True}}, "unknown sim fields ['record_hit_miss']"),
+    ({"native": {"pins": {"primary": []}}},
+     "native field 'pins' must map workload names to non-empty lists of cpu numbers >= 0, "
+     "got \"primary\": []"),
+    ({"native": {"pins": {"harm.offchip": [0, -1]}}},
+     "native field 'pins' must map workload names to non-empty lists of cpu numbers >= 0, "
+     "got \"harm.offchip\": [0, -1]"),
 ]
 
 
@@ -501,8 +507,8 @@ def test_unsafe_workload_name_refused():
 
 def test_native_fields_keep_their_values():
     d = toy_config_dict(native={"duration": 2, "pins": {"primary": [0]}})
-    native = experiment_from_dict(d).native
-    assert (native.duration, native.pins) == (2.0, {"primary": (0,)})
+    cfg = experiment_from_dict(d)
+    assert (cfg.native.duration, cfg.primary.cpus) == (2.0, (0,))
     with pytest.raises(ConfigError, match="native field 'pins'"):
         experiment_from_dict(toy_config_dict(native={"pins": {"primary": ["0"]}}))
 
@@ -528,6 +534,17 @@ def test_emit_config_round_trip(tmp_path, capsys):
         p = tmp_path / name
         p.write_text(json.dumps(emitted))
         assert load_experiment(str(p)) == load_experiment(config), name
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name", sorted(n[:-len(".json")] for n in os.listdir(CONFIGS)
+                                        if n.endswith(".json")))
+def test_emit_config_matches_golden(tmp_path, capsys, name):
+    assert main(["--out", str(tmp_path), "emit-config", os.path.join(CONFIGS, f"{name}.json")]) == 0
+    with open(os.path.join(GOLDEN, f"{name}_resolved.json"), "rb") as fh:
+        assert (tmp_path / f"{name}_resolved.json").read_bytes() == fh.read()
 
 
 def test_seed_reseeds_bucket_sort(tmp_path, capsys):
@@ -585,7 +602,7 @@ def test_native_pin_outside_mask_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["--out", str(out), "native", str(p), "--skip-hw-checks", "--duration", "0.05"])
     assert rc == 2
-    assert f"cpu hint {cpu} not in usable set" in capsys.readouterr().err
+    assert f"pinned cpu {cpu} not in usable set" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
 
 

@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -10,6 +11,7 @@ from contend.native import (
     _KERNELS,
     NativeError,
     _alloc_arena,
+    _thread_cpus,
     available_cpus,
     bytes_per_pass,
     co_run,
@@ -22,9 +24,9 @@ from contend.patterns import (
     StridedWalk,
     ThreadSpec,
     WorkloadSpec,
+    gen_offchip_antagonist,
     gen_onchip_antagonist,
     gen_stream,
-    with_pinning,
 )
 
 DUR = 0.05   # seconds per timed run; enough for thousands of passes
@@ -163,25 +165,43 @@ def test_duration_must_be_positive():
         run_native(gen_stream("copy", 64), 0.0)
 
 
+def test_thread_cpus_round_robin():
+    w = gen_offchip_antagonist(preset("toy"), 3, array_bytes=2048)
+    assert _thread_cpus(w) == [None, None, None]
+    assert _thread_cpus(replace(w, cpus=(4, 5))) == [4, 5, 4]
+
+
 def test_pin_to_unavailable_cpu_rejected():
-    w = with_pinning(gen_stream("copy", 1024), [max(available_cpus()) + 17])
+    w = replace(gen_stream("copy", 1024), cpus=(max(available_cpus()) + 17,))
     with pytest.raises(NativeError):
         run_native(w, DUR)
 
 
 def test_pin_to_current_cpu_works():
     cpu = min(available_cpus())
-    w = with_pinning(gen_stream("copy", 1024), [cpu])
+    w = replace(gen_stream("copy", 1024), cpus=(cpu,))
     res = run_native(w, DUR)
     assert res.threads[0].cpu == cpu
 
 
 def test_co_run_rejects_pin_clash():
     cpu = min(available_cpus())
-    a = with_pinning(gen_stream("copy", 1024), [cpu])
-    b = with_pinning(WorkloadSpec("b", (ThreadSpec(StridedWalk(4096, 64)),)), [cpu])
+    a = replace(gen_stream("copy", 1024), cpus=(cpu,))
+    b = WorkloadSpec("b", (ThreadSpec(StridedWalk(4096, 64)),), (cpu,))
     with pytest.raises(NativeError):
         co_run(a, b, DUR)
+
+
+def test_co_run_pins_clash_only_where_threads_run():
+    cpus = sorted(available_cpus())
+    if len(cpus) < 2:
+        pytest.skip("needs 2 usable cpus")
+    c0, c1 = cpus[:2]
+    # the 1-thread primary runs on c0 only, so c1 is free for the secondary
+    a = replace(gen_stream("copy", 1024), cpus=(c0, c1))
+    b = WorkloadSpec("b", (ThreadSpec(StridedWalk(4096, 64)),), (c1,))
+    ra, rb = co_run(a, b, DUR)
+    assert (ra.threads[0].cpu, rb.threads[0].cpu) == (c0, c1)
 
 
 def test_co_run_returns_both_results():

@@ -22,7 +22,6 @@ from contend.patterns import (
     iter_ops,
     relocate,
     validate_workload,
-    with_pinning,
     workload_from_dict,
     workload_to_dict,
     write_trace_csv,
@@ -348,11 +347,6 @@ def test_relocate_keeps_shared_walks_together():
     assert [a for _, a in iter_ops(moved, 1, 1)] == [4096 + 2048]
 
 
-def test_with_pinning():
-    w = with_pinning(gen_offchip_antagonist(preset("toy"), 3, array_bytes=2048), [4, 5])
-    assert [t.cpu_hint for t in w.threads] == [4, 5, 4]
-
-
 # ---------------------------------------------------------------------------
 # serialization and trace output
 
@@ -369,8 +363,9 @@ def test_workload_round_trip():
     ]
     for w in samples:
         assert workload_from_dict(workload_to_dict(w)) == w
-    # a config pins threads through native.pins, so a thread's JSON has no cpu
-    pinned = workload_to_dict(with_pinning(sweep, [0, 1]))
+    # a config pins workloads through native.pins, so a workload's JSON has no cpus
+    pinned = workload_to_dict(WorkloadSpec(sweep.name, sweep.threads, (0, 1)))
+    assert sorted(pinned) == ["name", "threads"]
     assert [sorted(t) for t in pinned["threads"]] == [["arena_base", "pattern"]] * 2
     assert workload_from_dict(pinned) == sweep
 
