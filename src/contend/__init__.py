@@ -34,7 +34,7 @@ from .patterns import (
     gen_onchip_antagonist,
     gen_stream,
     relocate,
-    validate_workload,
+    validate_workloads,
     workload_from_dict,
     workload_to_dict,
     write_trace_csv,

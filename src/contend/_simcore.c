@@ -15,7 +15,7 @@
  * now + hit_latency, and now never decreases; after a miss it is ready at
  * dq + mem_latency, and the one FIFO controller's dequeue time dq grows by
  * at least interval per miss.  Several misses in flight per thread, or bus
- * stages in front of the controller (ROADMAP item 2), break this.
+ * stages in front of the controller (ROADMAP item 4), break this.
  *
  * Counters are per workload (wl[i] is thread i's); totals receives the
  * whole run's elapsed cycles and serviced controller lines.  labels is NULL

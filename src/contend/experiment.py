@@ -41,7 +41,7 @@ from .patterns import (
     gen_onchip_antagonist,
     gen_stream,
     relocate,
-    validate_workload,
+    validate_workloads,
     workload_from_dict,
     workload_to_dict,
 )
@@ -161,7 +161,8 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
 
     # rebase each secondary above the primary; conflict-stride alignment
     # keeps every access's (bank, set) unchanged by the move.  Each workload
-    # is checked once, where it landed.
+    # is checked once, where it landed, and on its own: every secondary lands
+    # at one base, and no two secondaries run together.
     stride = conflict_stride(g)
     budget = sim.per_thread_event_budget
     try:
@@ -170,7 +171,7 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
         secondaries = [relocate(_build_workload(s, g, budget), sec_base)
                        for s in d.get("secondaries", [])]
         for w in (primary, *secondaries):
-            validate_workload(w, g.line_size)
+            validate_workloads([w], g.line_size)
     except PatternError as e:
         raise ConfigError(str(e)) from e
 

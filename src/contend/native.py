@@ -20,7 +20,6 @@ import mmap
 import os
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,13 +234,12 @@ def _launch(workloads, duration) -> list[NativeResult]:
     placements = [_thread_cpus(w) for w in workloads]
     _check_pins(workloads, placements)
 
-    # an arena walked by several threads is allocated here, once; every other
-    # arena by its own thread, which so first-touches it on its pinned cpu
-    shared = []
-    for w in workloads:
-        walkers = Counter((t.arena_base, t.pattern.arena_span) for t in w.threads)
-        shared.append({arena: _alloc_arena(arena[1])
-                       for arena, n in walkers.items() if n > 1 and arena[1] > 0})
+    # an arena walked by several threads is allocated here, once, keyed by
+    # (base, end) since co_run checks no placement; every other arena by its
+    # own thread, which so first-touches it on its pinned cpu
+    shared = [{(base, end): _alloc_arena(end - base)
+               for (base, end), users in w.arenas().items() if len(users) > 1}
+              for w in workloads]
 
     # per workload, indexed by thread
     results = [[None] * len(w.threads) for w in workloads]
@@ -250,7 +248,8 @@ def _launch(workloads, duration) -> list[NativeResult]:
     threads = [
         threading.Thread(
             target=_thread_main,
-            args=(ti, t.pattern, shared[wi].get((t.arena_base, t.pattern.arena_span)),
+            args=(ti, t.pattern,
+                  shared[wi].get((t.arena_base, t.arena_base + t.pattern.arena_span)),
                   placements[wi][ti], duration, barrier, results[wi], errors[wi]),
             name=f"{w.name}-{ti}",
             daemon=True,

@@ -198,10 +198,12 @@ class BucketSort:
         """Events in one iteration: read keys, count, prefix, permute."""
         return 4 * self.n_keys + self.n_buckets
 
-    def keys(self) -> np.ndarray:
-        """The seeded generator's n_keys successive 32-bit draws, as uint32:
-        randbytes lays out getrandbits(32) words least significant first."""
-        return np.frombuffer(random.Random(self.seed).randbytes(4 * self.n_keys), "<u4")
+    def keys(self, count: int | None = None) -> np.ndarray:
+        """The seeded generator's first count (default n_keys) successive
+        32-bit draws, as uint32: randbytes lays out getrandbits(32) words
+        least significant first, so a shorter draw is a prefix of a longer."""
+        n = self.n_keys if count is None else count
+        return np.frombuffer(random.Random(self.seed).randbytes(4 * n), "<u4")
 
     def ops(self, base: int) -> Iterator[tuple[str, int]]:
         """iterations repeats of one pass; keys are drawn once per stream."""
@@ -225,9 +227,16 @@ class BucketSort:
         [n, n + n_buckets), then the output."""
         n, nb = self.n_keys, self.n_buckets
         total = self.iterations * self.pass_length
-        buckets, pos = _bucket_positions(self)
-        feed = np.empty(min(self.pass_length, limit, total), np.uint32)
+        length = min(self.pass_length, limit, total)
         perm = 2 * n + nb
+        # keys and buckets come and go before the feed is allocated: in the
+        # other order, 20 bucketsort_onchip sims in one process peaked 2 MiB higher
+        if length > perm:
+            buckets, pos = _bucket_positions(self)
+        else:   # no permuting write: only the buckets of the keys counted
+            buckets = _buckets(self, min(max(length - n, 0), n))
+            pos = np.empty(0, np.uint32)
+        feed = np.empty(length, np.uint32)
 
         def put(view, first, values=None):
             if values is None:
@@ -267,48 +276,47 @@ class WorkloadSpec:
         object.__setattr__(self, "threads", tuple(self.threads))
         object.__setattr__(self, "cpus", tuple(self.cpus))
 
-    def arena_intervals(self) -> list[tuple[int, int]]:
-        """Distinct half-open [base, end) byte ranges claimed by this workload;
-        threads whose ranges are equal share one arena."""
-        return list(dict.fromkeys(
-            (t.arena_base, t.arena_base + span)
-            for t in self.threads if (span := t.pattern.arena_span) > 0))
+    def arenas(self) -> dict[tuple[int, int], list[int]]:
+        """The threads of each non-empty half-open [base, end) byte range, in
+        order of first use; threads whose ranges are equal share one arena."""
+        arenas = {}
+        for i, t in enumerate(self.threads):
+            if (span := t.pattern.arena_span) > 0:
+                arenas.setdefault((t.arena_base, t.arena_base + span), []).append(i)
+        return arenas
 
     def end_address(self) -> int:
-        return max((end for _, end in self.arena_intervals()), default=0)
+        return max((end for _, end in self.arenas()), default=0)
 
 
-def validate_workload(w: WorkloadSpec, line_size: int) -> WorkloadSpec:
-    """Check that every arena is line-aligned and inside [0, 2**63), and that
-    arenas are disjoint.  Walks whose arenas are equal share that arena;
-    every other overlap is refused."""
-    walks = {}       # (base, bytes) of each arena -> whether its threads are walks
-    for i, t in enumerate(w.threads):
-        if t.arena_base % line_size != 0:
-            raise PatternError(
-                f"{w.name}: thread {i} arena base {t.arena_base:#x} not line-aligned"
-            )
-        arena = (t.arena_base, t.pattern.arena_span)
-        end = t.arena_base + arena[1]
-        if t.arena_base < 0 or end > 1 << 63:   # the compiled loop caches line << 1 | dirty
-            raise PatternError(f"an arena of {w.name!r} spans bytes "
-                               f"[{t.arena_base}, {end}), outside [0, 2**63)")
-        if arena[1] == 0:
-            continue
-        walk = type(t.pattern) is StridedWalk
-        if arena in walks and not (walk and walks[arena]):
-            raise PatternError(
-                f"{w.name}: thread {i} reuses the arena at {t.arena_base:#x}; "
-                f"only walks share an arena"
-            )
-        walks[arena] = walk
-    spans = sorted((base, base + size) for base, size in walks)
-    for (a0, a1), (b0, _) in zip(spans, spans[1:]):
+def validate_workloads(workloads, line_size: int) -> None:
+    """Check that every arena of the given workloads is line-aligned and
+    inside [0, 2**63), and that arenas are disjoint.  Walks of one workload
+    whose arenas are equal share that arena; every other overlap, within a
+    workload or across two, is refused."""
+    spans = []
+    for w in workloads:
+        for i, t in enumerate(w.threads):
+            if t.arena_base % line_size != 0:
+                raise PatternError(
+                    f"{w.name}: thread {i} arena base {t.arena_base:#x} not line-aligned"
+                )
+            end = t.arena_base + t.pattern.arena_span
+            if t.arena_base < 0 or end > 1 << 63:   # the compiled loop caches line << 1 | dirty
+                raise PatternError(f"an arena of {w.name!r} spans bytes "
+                                   f"[{t.arena_base}, {end}), outside [0, 2**63)")
+        for (base, end), users in w.arenas().items():
+            if len(users) > 1:
+                walks = [type(w.threads[i].pattern) is StridedWalk for i in users]
+                if not all(walks):   # name the second claimant when the first is no walk
+                    raise PatternError(f"{w.name}: thread {users[max(walks.index(False), 1)]} "
+                                       f"reuses the arena at {base:#x}; only walks share an arena")
+            spans.append((base, end, w.name))
+    spans.sort()
+    for (_, a1, an), (b0, _, bn) in zip(spans, spans[1:]):
         if b0 < a1:
-            raise PatternError(
-                f"{w.name}: arenas overlap at {b0:#x} (previous ends {a1:#x})"
-            )
-    return w
+            names = an if an == bn else f"{an} and {bn}"
+            raise PatternError(f"{names}: arenas overlap at {b0:#x} (previous ends {a1:#x})")
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +360,7 @@ def gen_offchip_antagonist(
     return WorkloadSpec("harm.offchip", threads, cpus)
 
 
-def gen_onchip_antagonist(
-    g: CacheGeometry, n_threads: int = 4, base: int = 0, cpus=()
-) -> WorkloadSpec:
+def gen_onchip_antagonist(g: CacheGeometry, n_threads: int = 4, base: int = 0) -> WorkloadSpec:
     """Whole-cache walkers over one shared capacity-sized arena.
 
     Threads advance line by line from equally spaced, line-aligned starting
@@ -371,7 +377,7 @@ def gen_onchip_antagonist(
         ThreadSpec(StridedWalk(cap, line, "read", (t * cap // n_threads) // line * line), base)
         for t in range(n_threads)
     ]
-    return WorkloadSpec("harm.onchip", threads, cpus)
+    return WorkloadSpec("harm.onchip", threads)
 
 
 def gen_stream(kind: str, n_elems: int, base: int = 0, cpu: int | None = None) -> WorkloadSpec:
@@ -386,11 +392,10 @@ def gen_bucket_sort(
     iterations: int = 10,
     seed: int = 0,
     base: int = 0,
-    cpu: int | None = None,
 ) -> WorkloadSpec:
     """Single-threaded seeded bucket sort over 32-bit keys."""
     p = BucketSort(n_keys, n_buckets, iterations, seed)
-    return WorkloadSpec("bucketsort", (ThreadSpec(p, base),), () if cpu is None else (cpu,))
+    return WorkloadSpec("bucketsort", (ThreadSpec(p, base),))
 
 
 def relocate(w: WorkloadSpec, new_base: int) -> WorkloadSpec:
@@ -406,6 +411,14 @@ def relocate(w: WorkloadSpec, new_base: int) -> WorkloadSpec:
 # expansion into access events
 
 
+def _buckets(p: BucketSort, count: int) -> np.ndarray:
+    """Bucket index of each of the first count keys, as uint32."""
+    # bucket indices (keys * n_buckets) >> 32 need 64-bit products
+    wide = np.multiply(p.keys(count), p.n_buckets, dtype=np.uint64)
+    wide >>= 32
+    return wide.astype(np.uint32)
+
+
 def _bucket_positions(p: BucketSort) -> tuple[np.ndarray, np.ndarray]:
     """Bucket index and stable output position of every key, as uint32.
 
@@ -413,11 +426,7 @@ def _bucket_positions(p: BucketSort) -> tuple[np.ndarray, np.ndarray]:
     indices cast to the narrowest unsigned type that holds n_buckets - 1,
     and numpy's stable sort of an integer type of 16 bits or less is a radix
     sort.  With more buckets the same call is a merge sort on uint32."""
-    # bucket indices (keys * n_buckets) >> 32 need 64-bit products
-    wide = np.multiply(p.keys(), p.n_buckets, dtype=np.uint64)
-    wide >>= 32
-    buckets = wide.astype(np.uint32)
-    del wide
+    buckets = _buckets(p, p.n_keys)
     order = np.argsort(buckets.astype(np.min_scalar_type(p.n_buckets - 1)), kind="stable")
     pos = np.empty(p.n_keys, np.uint32)
     pos[order] = np.arange(p.n_keys, dtype=np.uint32)
@@ -458,7 +467,7 @@ def iter_ops(w: WorkloadSpec, thread_idx: int, limit: int) -> Iterator[tuple[str
 
 def footprint(w: WorkloadSpec, g: CacheGeometry) -> int:
     """Distinct (bank, set) pairs touched by one full pass of every thread."""
-    validate_workload(w, g.line_size)
+    validate_workloads([w], g.line_size)
     pairs = set()
     for i, t in enumerate(w.threads):
         for _, addr in iter_ops(w, i, t.pattern.pass_length):

@@ -44,7 +44,7 @@ import numpy as np
 
 from .geometry import CacheGeometry, bank_of, set_of, validate_geometry
 from .native import available_cpus
-from .patterns import OP_MIXES, StridedWalk, WorkloadSpec, iter_ops, validate_workload
+from .patterns import OP_MIXES, StridedWalk, WorkloadSpec, iter_ops, validate_workloads
 
 # a line feed entry holds line << 1 | is_write in 32 bits
 MAX_ARENA_LINES = 1 << 31
@@ -149,22 +149,14 @@ class LruBankedCache:
 def _check_placement(workloads: list[WorkloadSpec], g: CacheGeometry) -> None:
     if len({w.name for w in workloads}) != len(workloads):
         raise SimulationError("workload names must be unique within a run")
-    spans = []
+    validate_workloads(workloads, g.line_size)
     for w in workloads:
-        validate_workload(w, g.line_size)
-        for lo, hi in w.arena_intervals():
+        for lo, hi in w.arenas():
             if (hi - lo + g.line_size - 1) // g.line_size >= MAX_ARENA_LINES:
                 raise SimulationError(
                     f"an arena of {w.name!r} spans {hi - lo} bytes, "
                     f"{MAX_ARENA_LINES} lines or more"
                 )
-            spans.append((lo, hi, w.name))
-    spans.sort()
-    for (a0, a1, an), (b0, _, bn) in zip(spans, spans[1:]):
-        if b0 < a1:
-            raise SimulationError(
-                f"arenas of {an!r} and {bn!r} overlap at {b0:#x}"
-            )
 
 
 def _run(workloads: list[WorkloadSpec], cfg: SimConfig) -> dict:

@@ -52,7 +52,7 @@ def test_secondaries_rebased_above_primary():
     stride = conflict_stride(cfg.geometry)
     p_end = cfg.primary.end_address()
     for s in cfg.secondaries:
-        for lo, hi in s.arena_intervals():
+        for lo, hi in s.arenas():
             assert lo >= p_end
             assert lo % stride == 0
 

@@ -135,23 +135,25 @@ def test_walk_op_mixes_run():
 
 
 def test_shared_arena_walkers(monkeypatch):
-    # the two walkers at one base get one array; the private walk its own
-    arenas = []
+    # the walkers of one (base, end) get one array; the private walk its own.
+    # Two shared arenas at one base stay apart: run_native checks no placement
+    arenas = {}
 
     def recorded(p, arena):
-        arenas.append(arena)
+        arenas[p] = arena
         return native._strided_kernel(p, arena)
     monkeypatch.setitem(_KERNELS, StridedWalk, recorded)
     on = gen_onchip_antagonist(preset("toy"), 2)
-    w = WorkloadSpec("w", (*on.threads, ThreadSpec(StridedWalk(4096, 64), 8192)))
+    half = [ThreadSpec(StridedWalk(2048, 64, "read", off), 0) for off in (0, 1024)]
+    w = WorkloadSpec("w", (*on.threads, *half, ThreadSpec(StridedWalk(4096, 64), 8192)))
     res = run_native(w, DUR)
-    assert len(res.threads) == 3
+    assert len(res.threads) == 5
     for t, spec in zip(res.threads, w.threads):
         assert t.bytes_touched == t.passes * bytes_per_pass(spec.pattern)
-    shared = [a for a in arenas if a is not None]
-    assert len(shared) == 2 and shared[0] is shared[1]
-    assert len(shared[0]) * 8 == preset("toy").capacity
-    assert sum(a is None for a in arenas) == 1
+    got = [arenas[t.pattern] for t in w.threads]
+    assert got[0] is got[1] and len(got[0]) * 8 == preset("toy").capacity
+    assert got[2] is got[3] and len(got[2]) * 8 == 2048
+    assert got[4] is None
 
 
 def test_stride_must_be_word_multiple():

@@ -21,7 +21,7 @@ from contend.patterns import (
     gen_stream,
     iter_ops,
     relocate,
-    validate_workload,
+    validate_workloads,
     workload_from_dict,
     workload_to_dict,
     write_trace_csv,
@@ -227,6 +227,27 @@ def test_bucket_sort_matches_reference():
     assert pos.tolist() == list(range(300))
 
 
+def test_bucket_sort_feed_draws_only_the_keys_it_needs(monkeypatch):
+    # a feed that ends before the permute phase draws the keys it counts;
+    # a longer one draws every key to place them
+    p = BucketSort(50, 7, iterations=2, seed=9)
+    full, _ = p.line_feed(2, p.pass_length)
+    draws = []
+    keys = BucketSort.keys
+
+    def spy(self, count=None):
+        out = keys(self, count)
+        draws.append(len(out))
+        return out
+    monkeypatch.setattr(BucketSort, "keys", spy)
+    for limit in range(p.pass_length + 3):
+        draws.clear()
+        feed, n = p.line_feed(2, limit)
+        assert n == limit
+        assert feed.tolist() == full[:limit].tolist()
+        assert sum(draws) == min(max(limit - 50, 0), 50)
+
+
 def test_bucket_sort_seed_determinism():
     a = list(iter_ops(gen_bucket_sort(64, 8, seed=5), 0, 500))
     b = list(iter_ops(gen_bucket_sort(64, 8, seed=5), 0, 500))
@@ -278,8 +299,8 @@ def test_shared_walk_uses_arena_base():
     # two walks at one base share its arena, each from its own offset
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(256, 64, "read", 0), 1 << 20),
                            ThreadSpec(StridedWalk(256, 128, "write", 128), 1 << 20)))
-    validate_workload(w, 64)
-    assert w.arena_intervals() == [(1 << 20, (1 << 20) + 256)]
+    validate_workloads([w], 64)
+    assert w.arenas() == {(1 << 20, (1 << 20) + 256): [0, 1]}
     assert list(iter_ops(w, 0, 5)) == [("r", (1 << 20) + a) for a in (0, 64, 128, 192, 0)]
     assert list(iter_ops(w, 1, 3)) == [("w", (1 << 20) + a) for a in (128, 0, 128)]
 
@@ -295,19 +316,19 @@ def test_footprint_empty_workload():
 def test_validate_rejects_unaligned_base():
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(1024, 256), arena_base=96),))
     with pytest.raises(PatternError):
-        validate_workload(w, line_size=64)
-    validate_workload(w, line_size=32)      # aligned for a 32-byte line
+        validate_workloads([w], line_size=64)
+    validate_workloads([w], line_size=32)      # aligned for a 32-byte line
 
 
 def test_validate_rejects_partial_walk_overlap():
     # one arena is shared only by walks whose ranges are equal
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(4096, 64)), ThreadSpec(StridedWalk(2048, 64))))
     with pytest.raises(PatternError, match="arenas overlap at 0x0"):
-        validate_workload(w, 64)
+        validate_workloads([w], 64)
     w = WorkloadSpec("w", (ThreadSpec(StridedWalk(4096, 64)),
                            ThreadSpec(StridedWalk(4096, 64), 2048)))
     with pytest.raises(PatternError, match="arenas overlap at 0x800"):
-        validate_workload(w, 64)
+        validate_workloads([w], 64)
 
 
 @pytest.mark.parametrize("first, second", [
@@ -318,15 +339,25 @@ def test_validate_rejects_partial_walk_overlap():
 def test_validate_rejects_equal_arenas_unless_walks(first, second):
     w = WorkloadSpec("w", (ThreadSpec(first, 4096), ThreadSpec(second, 4096)))
     with pytest.raises(PatternError, match="thread 1 reuses the arena at 0x1000"):
-        validate_workload(w, 64)
+        validate_workloads([w], 64)
 
 
-def test_arena_intervals_and_end():
+def test_validate_names_the_first_thread_that_is_no_walk():
+    walks = (ThreadSpec(StridedWalk(1536, 64), 4096),
+             ThreadSpec(StridedWalk(1536, 64, "read", 64), 4096))
+    w = WorkloadSpec("w", (*walks, ThreadSpec(StreamKernel("triad", 64), 4096)))
+    with pytest.raises(PatternError, match="thread 2 reuses the arena at 0x1000"):
+        validate_workloads([w], 64)
+
+
+def test_arenas_and_end():
     w = gen_offchip_antagonist(preset("t1"), 2)
-    assert w.arena_intervals() == [(0, 2 * MIB), (2 * MIB, 4 * MIB)]
+    assert w.arenas() == {(0, 2 * MIB): [0], (2 * MIB, 4 * MIB): [1]}
     assert w.end_address() == 4 * MIB
     on = gen_onchip_antagonist(preset("toy"), 2)
-    assert on.arena_intervals() == [(0, 4096)]
+    assert on.arenas() == {(0, 4096): [0, 1]}
+    # an empty stream claims no arena
+    assert WorkloadSpec("e", (ThreadSpec(StreamKernel("copy", 0), 64),)).arenas() == {}
 
 
 def test_relocate_preserves_mapping_at_stride_multiples():
@@ -343,7 +374,7 @@ def test_relocate_keeps_shared_walks_together():
     w = gen_onchip_antagonist(preset("toy"), 2)
     moved = relocate(w, 4096)
     assert [t.arena_base for t in moved.threads] == [4096, 4096]
-    assert moved.arena_intervals() == [(4096, 8192)]
+    assert moved.arenas() == {(4096, 8192): [0, 1]}
     assert [a for _, a in iter_ops(moved, 1, 1)] == [4096 + 2048]
 
 

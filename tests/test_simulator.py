@@ -318,8 +318,16 @@ def test_interference_report_rejects_duplicate_names():
 def test_overlapping_arenas_rejected():
     a = gen_stream("copy", 64)
     b = WorkloadSpec("b", (ThreadSpec(StridedWalk(1024, 256), 512),))
-    with pytest.raises(SimulationError):
+    with pytest.raises(PatternError, match="arenas overlap"):
         simulate([a, b], toy_cfg())
+
+
+def test_equal_walk_arenas_of_two_workloads_rejected():
+    # walks share an arena only within one workload
+    a = gen_onchip_antagonist(TOY, 2)
+    simulate([a], toy_cfg(per_thread_event_budget=10))
+    with pytest.raises(PatternError, match="b and harm.onchip: arenas overlap at 0x0"):
+        simulate([a, WorkloadSpec("b", a.threads)], toy_cfg(per_thread_event_budget=10))
 
 
 def test_duplicate_workload_names_rejected():
