@@ -17,10 +17,26 @@
  * at least interval per miss.  Several misses in flight per thread, or bus
  * stages in front of the controller (ROADMAP item 4), break this.
  *
+ * Closed form.  It rests on one invariant: a hit changes no cache contents
+ * and no controller state (it only reorders its set and may set a dirty
+ * bit).  Only a miss evicts, and every miss moves serviced.  So when a
+ * thread's feed wraps on a hit while serviced still has its value from the
+ * thread's previous hit wrap, the thread has just run one whole cycle of its
+ * feed (feed_len events), all hits, and nothing has missed since: every line
+ * of its feed is cached, and stays so until something misses.  The thread is
+ * then warm for that serviced.  Once every unfinished thread is warm for the
+ * current serviced, no access can miss again: each thread's remaining r
+ * accesses all hit, it finishes at its ready time + r * hit_latency, and the
+ * loop ends.  n_warm changes only on a hit wrap and on a finish, and is reset
+ * lazily when serviced has moved.  A model change that lets a hit use the
+ * controller or change what is cached (ROADMAP items 4, 10 and 11: miss
+ * slots and bus stages, way partitions and rate caps, DRAM) must keep the
+ * invariant or turn the closed form off.
+ *
  * Counters are per workload (wl[i] is thread i's); totals receives the
  * whole run's elapsed cycles and serviced controller lines.  labels is NULL
- * or receives one hit flag per event, thread after thread.  Returns 0, or
- * -1 when memory runs out.
+ * or receives one hit flag per event, thread after thread.  Returns the
+ * number of events run in closed form, or -1 when memory runs out.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -28,17 +44,20 @@
 
 struct thread {
     int64_t t, done, pos, label_at;  /* ready time, events done, feed index, first label */
+    int64_t wrap_sv, warm_sv;  /* serviced at the last hit wrap, and when counted warm */
 };
 
-int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_len,
-                const int64_t *start, const int64_t *n_events, const uint64_t *base_line,
-                const int32_t *wl, uint64_t set_mask, int64_t assoc, int64_t hit_latency,
-                int64_t mem_latency, int64_t interval, int wb_slot,
-                int64_t *accesses, int64_t *hits, int64_t *fetched,
-                int64_t *written_back, int64_t *finish, int64_t *totals,
-                uint8_t *labels)
+int64_t simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_len,
+                    const int64_t *start, const int64_t *n_events, const uint64_t *base_line,
+                    const int32_t *wl, uint64_t set_mask, int64_t assoc, int64_t hit_latency,
+                    int64_t mem_latency, int64_t interval, int wb_slot,
+                    int64_t *accesses, int64_t *hits, int64_t *fetched,
+                    int64_t *written_back, int64_t *finish, int64_t *totals,
+                    uint8_t *labels)
 {
-    uint64_t *ways = malloc((set_mask + 1) * (uint64_t)assoc * sizeof *ways);
+    /* zeroed, as set[0] is read even while its set is empty; that also brings
+     * the sets into the CPU caches before the loop */
+    uint64_t *ways = calloc((set_mask + 1) * (uint64_t)assoc, sizeof *ways);
     int64_t *fill = calloc(set_mask + 1, sizeof *fill);
     struct thread *th = calloc(n_threads + 1, sizeof *th);
     /* the hit and miss queues: rings of thread ids, heads and tails count up */
@@ -47,12 +66,16 @@ int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_
     int *hq = calloc(ring, sizeof *hq), *mq = calloc(ring, sizeof *mq);
     int ok = ways && fill && th && hq && mq;
 
+    int live = 0;  /* unfinished threads */
     for (int i = 0; ok && i < n_threads; i++) {
         th[i].pos = start[i];
+        th[i].wrap_sv = th[i].warm_sv = -1;
         if (i > 0) th[i].label_at = th[i - 1].label_at + n_events[i - 1];
-        if (n_events[i] > 0) hq[ht++] = i;  /* all ready at 0, in id order */
+        if (n_events[i] > 0) hq[ht++] = i, live++;  /* all ready at 0, in id order */
     }
-    int64_t mc_free = 0, last_dequeue = 0, serviced = 0;
+    int64_t mc_free = 0, last_dequeue = 0, serviced = 0, closed = 0;
+    int64_t warm_for = -1;  /* n_warm unfinished threads are warm for serviced == warm_for */
+    int n_warm = 0;
     while (hh != ht || mh != mt) {
         int h = hq[hh & (ring - 1)], m = mq[mh & (ring - 1)];
         int from_hits = mh == mt || (hh != ht && (th[h].t < th[m].t
@@ -63,24 +86,33 @@ int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_
         int64_t now = p->t;
 
         uint32_t e = feed[id][p->pos];
-        if (++p->pos == feed_len[id]) p->pos = 0;
+        int wrapped = ++p->pos == feed_len[id];
+        if (wrapped) p->pos = 0;
         uint64_t line = base_line[id] + (e >> 1);
         uint64_t *set = ways + (line & set_mask) * (uint64_t)assoc;
-        int64_t *set_fill = fill + (line & set_mask);
-        int64_t way = 0;
-        while (way < *set_fill && set[way] >> 1 != line) way++;
-        int hit = way < *set_fill, wrote_back = 0;
-        uint64_t entry = line << 1 | (e & 1);
+        int64_t *set_fill = fill + (line & set_mask), n = *set_fill, way = 1;
+        uint64_t entry = line << 1 | (e & 1), down = set[0];
+        int hit = n > 0 && down >> 1 == line, wrote_back = 0;
         if (hit) {
-            entry |= set[way];
-        } else if (*set_fill < assoc) {
-            way = (*set_fill)++;
-        } else {  /* evict the least recently used way */
-            way = assoc - 1;
-            wrote_back = set[way] & 1;
+            set[0] = down | entry;
+        } else {  /* from the most recent way on, each moves down one until the line */
+            for (; way < n; way++) {
+                uint64_t cur = set[way];
+                set[way] = down;
+                down = cur;
+                if (cur >> 1 == line) break;
+            }
+            hit = way < n;
+            if (hit) {
+                entry |= down;
+            } else if (n < assoc) {
+                set[n] = down;
+                (*set_fill)++;
+            } else {  /* the least recently used way falls off */
+                wrote_back = down & 1;
+            }
+            set[0] = entry;
         }
-        memmove(set + 1, set, way * sizeof *set);
-        set[0] = entry;
 
         if (labels) labels[p->label_at + p->done] = (uint8_t)hit;
         accesses[w]++;
@@ -105,16 +137,37 @@ int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_
         }
         if (++p->done == n_events[id]) {  /* done: not queued again */
             if (p->t > finish[w]) finish[w] = p->t;
-        } else if (hit) {
-            hq[ht++ & (ring - 1)] = id;
-        } else {
+            live--;
+            if (p->warm_sv == serviced) n_warm--;
+            if (n_warm == live && warm_for == serviced) break;
+        } else if (!hit) {
             mq[mt++ & (ring - 1)] = id;
+        } else {
+            hq[ht++ & (ring - 1)] = id;
+            if (wrapped) {
+                if (p->wrap_sv == serviced && p->warm_sv != serviced) {  /* newly warm */
+                    if (warm_for != serviced) warm_for = serviced, n_warm = 0;
+                    p->warm_sv = serviced;
+                    if (++n_warm == live) break;
+                }
+                p->wrap_sv = serviced;
+            }
         }
     }
     if (ok) {
         int64_t elapsed = last_dequeue;
-        for (int i = 0; i < n_threads; i++)
-            if (finish[wl[i]] > elapsed) elapsed = finish[wl[i]];
+        for (int i = 0; i < n_threads; i++) {
+            int w = wl[i];
+            int64_t r = n_events[i] - th[i].done, t = th[i].t + r * hit_latency;
+            if (r > 0) {  /* the loop broke with every unfinished thread warm: the rest hit */
+                accesses[w] += r;
+                hits[w] += r;
+                if (labels) memset(labels + th[i].label_at + th[i].done, 1, r);
+                if (t > finish[w]) finish[w] = t;
+                closed += r;
+            }
+            if (finish[w] > elapsed) elapsed = finish[w];
+        }
         totals[0] = elapsed;
         totals[1] = serviced;
     }
@@ -123,5 +176,5 @@ int simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_
     free(th);
     free(hq);
     free(mq);
-    return ok ? 0 : -1;
+    return ok ? closed : -1;
 }

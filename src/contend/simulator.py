@@ -13,7 +13,12 @@ lowest (workload, thread) id, so runs are bit-deterministic.
 simulate runs the event loop compiled from _simcore.c, built with the
 system C compiler on first use and cached under $XDG_CACHE_HOME/contend
 (default ~/.cache/contend).  Without a compiler it falls back to _run, the
-pure-Python loop that is also the compiled loop's reference.
+pure-Python loop that is also the compiled loop's reference.  The compiled
+loop ends a run in closed form once no access can miss again: when every
+unfinished thread has run a whole cycle of its feed, all hits, with no miss
+anywhere since, every line left to touch is cached, and a hit evicts nothing
+and leaves the controller alone, so the remaining events are added as hits
+in one step.  _run simulates every event; both give the same result.
 
 The runs behind one result (a co-run and the solo runs that give its
 baselines, or every run of an interference report) are independent, so
@@ -288,7 +293,7 @@ def _simcore():
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     fn.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_uint64, i64, i64,
                    i64, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    fn.restype = ctypes.c_int
+    fn.restype = i64
     return fn
 
 
@@ -361,7 +366,7 @@ def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
                 cfg.mc_service_interval, cfg.writeback_counts_as_slot,
                 *(row.ctypes.data for row in counters), totals.ctypes.data,
                 None if labels is None else labels.ctypes.data)
-    if rc != 0:
+    if rc < 0:
         raise MemoryError("simcore_run could not allocate its cache state")
     out = {}
     if labels is not None:

@@ -19,6 +19,7 @@ from contend.patterns import (
     StridedWalk,
     ThreadSpec,
     WorkloadSpec,
+    gen_bucket_sort,
     gen_offchip_antagonist,
     gen_onchip_antagonist,
     gen_stream,
@@ -435,11 +436,22 @@ def test_compiled_kernel_loads():
     assert simulator._simcore() is not None
 
 
-def run_compiled(ws, cfg):
+def run_compiled(ws, cfg, kernel=None):
     """_run_compiled on ws with the line feeds that _run_many builds."""
     feed_of = simulator._plan_feeds(dict.fromkeys(t.pattern for w in ws for t in w.threads),
                                     cfg.geometry.line_shift, cfg.per_thread_event_budget)
-    return simulator._run_compiled(simulator._simcore(), ws, cfg, feed_of)
+    return simulator._run_compiled(kernel or simulator._simcore(), ws, cfg, feed_of)
+
+
+def closed_form_events(ws, cfg):
+    """run_compiled's result, and the events the loop ran in closed form."""
+    kernel, returned = simulator._simcore(), []
+
+    def recording(*args):
+        returned.append(kernel(*args))
+        return returned[-1]
+
+    return run_compiled(ws, cfg, recording), returned[0]
 
 
 @needs_cc
@@ -487,6 +499,60 @@ def test_compiled_loop_matches_run_on_fixed_runs(ws, cfg):
     raw = simulator._run(ws, cfg)
     assert 0 < sum(raw["hits"]) < sum(raw["accesses"])
     assert run_compiled(ws, cfg) == raw
+
+
+def warm_runs():
+    # the first pass misses, the second sets the wrap, the third is warm
+    yield pytest.param([gen_onchip_antagonist(TOY, 1)], 5 * 128,
+                       lambda raw: raw["fetched"] == [128], id="whole-cache-walker")
+    # the triad's 6 lines and the walkers' 128 evict each other until the
+    # triad, which hits more, finishes; then the walkers warm
+    yield pytest.param(pack([gen_stream("triad", 8), gen_onchip_antagonist(TOY, 3)], 4096), 1000,
+                       lambda raw: raw["finish"][0] < raw["finish"][1], id="triad-then-walkers")
+    # readwrite walks of one cache-sized arena, from steps 0, 1, 40 and 85:
+    # until the triad finishes, their misses evict dirty lines
+    walk = StridedWalk(TOY.capacity, 32, "readwrite")
+    walks = WorkloadSpec("walks", tuple(ThreadSpec(replace(walk, start_offset=32 * step))
+                                        for step in (0, 1, 40, 85)))
+    yield pytest.param(pack([gen_stream("triad", 8), walks], 4096), 1200,
+                       lambda raw: raw["written_back"][1] > 0, id="readwrite-walks-of-one-arena")
+    # 4 iterations of a 408-event pass over 832 bytes
+    yield pytest.param([gen_bucket_sort(100, 8, iterations=4, seed=3)], 2000,
+                       lambda raw: raw["accesses"] == [4 * 408], id="bucket-sort")
+
+
+@needs_cc
+@pytest.mark.parametrize("ws, budget, holds", warm_runs())
+def test_closed_form_matches_run(ws, budget, holds):
+    cfg = toy_cfg(per_thread_event_budget=budget, record_hit_miss=True)
+    raw, closed = closed_form_events(ws, cfg)
+    assert raw == simulator._run(ws, cfg)
+    assert closed > 0 and holds(raw)
+
+
+def cold_runs():
+    # every access misses, so no hit ever wraps a feed
+    yield pytest.param([gen_offchip_antagonist(TOY, 3, array_bytes=2 * conflict_stride(TOY))],
+                       lambda raw: raw["hits"] == [0], id="all-miss")
+    # 150 lines from line 30: sets 0-21 hold 5 of them and miss on every
+    # pass, while the wrap, at line 29 in set 29, hits
+    walk = StridedWalk(150 * 32, 32, start_offset=30 * 32)
+    yield pytest.param([WorkloadSpec("w", (ThreadSpec(walk),))], lambda raw: raw["hits"] > [0],
+                       id="misses-between-hit-wraps")
+    # the one-line walk is warm when it finishes, but the triad's 600-event
+    # feed never wraps within 500 events
+    one_line = WorkloadSpec("one-line", (ThreadSpec(StridedWalk(32, 32)),))
+    yield pytest.param(pack([gen_stream("triad", 200), one_line], 4096),
+                       lambda raw: raw["finish"][0] > raw["finish"][1], id="feed-never-wraps")
+
+
+@needs_cc
+@pytest.mark.parametrize("ws, holds", cold_runs())
+def test_closed_form_waits_for_every_thread(ws, holds):
+    cfg = toy_cfg(per_thread_event_budget=500, record_hit_miss=True)
+    raw, closed = closed_form_events(ws, cfg)
+    assert raw == simulator._run(ws, cfg)
+    assert closed == 0 and holds(raw)
 
 
 def count_feeds(monkeypatch):
