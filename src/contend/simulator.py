@@ -412,6 +412,9 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
     feed bytes holds).  Then one worker per allowed CPU, the caller among
     them, takes the longest run left until none is; the compiled loop
     releases the interpreter lock, so the loops run side by side.  The
+    caller takes the longest run before it starts any helper: the run most
+    likely to end last then starts first, on the CPU the call is on, while
+    the helpers start up (left to a race, the first helper took it).  The
     first failure in run order is raised once every worker has stopped.
 
     A new thread starts on its creator's CPU, and Linux may leave both there
@@ -442,6 +445,14 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
     # longest first; sorted is stable, so equal runs keep their order
     todo = collections.deque(sorted(range(len(runs)), key=events.__getitem__, reverse=True))
 
+    def run(i):
+        try:
+            raws[i] = (_run_compiled(kernel, runs[i], cfg, feed_of) if kernel
+                       else _run(runs[i], cfg))
+        except Exception as e:   # a thread's own exception would be lost
+            errors[i] = e
+            todo.clear()
+
     def work(cpus=None):
         if cpus:
             _pin(cpus)
@@ -450,20 +461,17 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
                 i = todo.popleft()
             except IndexError:
                 return
-            try:
-                raws[i] = (_run_compiled(kernel, runs[i], cfg, feed_of) if kernel
-                           else _run(runs[i], cfg))
-            except Exception as e:   # a thread's own exception would be lost
-                errors[i] = e
-                todo.clear()
+            run(i)
 
     mask = available_cpus()
     n_workers = min(len(mask), len(runs)) if kernel else 1
     away = mask - {_this_cpu()} if n_workers > 1 else None
     helpers = [threading.Thread(target=work, args=(away,)) for _ in range(n_workers - 1)]
     try:
+        first = todo.popleft()   # the longest, before any helper can take it
         for t in helpers:
             t.start()
+        run(first)
         work()
     finally:
         todo.clear()

@@ -732,6 +732,26 @@ def test_runs_share_the_allowed_cpus(monkeypatch):
     assert threading.active_count() == threads
 
 
+@needs_cc
+def test_caller_takes_the_longest_run(monkeypatch):
+    v, off, *_ = report_and_runs()
+    cfg = toy_cfg(per_thread_event_budget=400)
+    expected = simulate([v, off], cfg)
+    kernel, calls = simulator._simcore(), []
+
+    def recording_threads(n_threads, *args):
+        calls.append((threading.get_ident(), n_threads))
+        return kernel(n_threads, *args)
+
+    monkeypatch.setattr(simulator, "available_cpus", lambda: {0, 1})
+    monkeypatch.setattr(simulator, "_simcore", lambda: recording_threads)
+    record_pins(monkeypatch)
+    # the co-run of 1 + 3 threads, then the two solo runs
+    assert simulate([v, off], cfg) == expected
+    assert len(calls) == 3
+    assert next(n for ident, n in calls if ident == threading.get_ident()) == 4
+
+
 @pytest.mark.parametrize("compiled", [pytest.param(True, marks=needs_cc), False])
 def test_one_cpu_or_no_compiler_starts_no_thread(monkeypatch, compiled):
     v, off, on, sort = report_and_runs()
