@@ -1,7 +1,9 @@
 """Command-line front end: presets, trace dumps, simulated and native runs.
 
-Result files are written under --out; the human-readable summary always goes
-to stdout.  Simulated outputs contain no timestamps or environment data, so
+Every command but preset loads and seeds its experiment once, in main, and
+writes its result through _write: to stdout, or to one file under --out; the
+human-readable summary always goes to stdout.  sim and native are run with a
+fixed mode.  Simulated outputs contain no timestamps or environment data, so
 repeat runs of the same experiment produce byte-identical files.
 
 Exit codes: 0 success, 2 bad arguments or invalid experiment file, 3 failed
@@ -124,21 +126,29 @@ def _native_rows(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _emit(rows: list[dict], header: str, path: str | None, fmt: str,
-          comments: list[str] | None = None) -> None:
-    cols = header.split(",")
+def _emit(rows: list[dict], header: str, fmt: str, record: dict | None = None) -> str:
+    """The rows as CSV, after one `# key: value` comment per record entry, or
+    as JSON: the list of rows, or {**record, "rows": rows} with a record."""
     if fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = [f"# {c}" for c in (comments or [])]
-        lines.append(header)
-        lines += [",".join(str(r[c]) for c in cols) for r in rows]
-        text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return json.dumps(rows if record is None else {**record, "rows": rows},
+                          indent=2) + "\n"
+    cols = header.split(",")
+    lines = [f"# {k}: {v}" for k, v in (record or {}).items()]
+    lines.append(header)
+    lines += [",".join(str(r[c]) for c in cols) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write(args, filename: str, write) -> None:
+    """Call write(fh) on stdout, or on --out/filename and say so."""
+    if args.out is None:
+        write(sys.stdout)
+        return
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, filename)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write(fh)
+    print(f"wrote {path}")
 
 
 def _summary(cfg: ExperimentConfig, rows: list[dict], value_col: str) -> None:
@@ -176,43 +186,23 @@ def cmd_preset(args) -> int:
     return 0
 
 
-def cmd_gen(args) -> int:
-    if args.limit < 0:   # refused before any output exists
-        raise ConfigError("limit must be >= 0")
-    cfg = _apply_seed(load_experiment(args.config), args.seed)
+def cmd_gen(args, cfg: ExperimentConfig) -> int:
     byname = {w.name: w for w in (cfg.primary, *cfg.secondaries)}
     if args.workload not in byname:
         raise ConfigError(
             f"no workload {args.workload!r}; have {sorted(byname)}"
         )
     w = byname[args.workload]
-    if args.out is None:
-        write_trace_csv(w, args.limit, sys.stdout)
-        return 0
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{cfg.name}_{w.name}_trace.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_trace_csv(w, args.limit, fh)
-    print(f"wrote {path}")
+    _write(args, f"{cfg.name}_{w.name}_trace.csv",
+           lambda fh: write_trace_csv(w, args.limit, fh))
     return 0
 
 
-def _outpath(args, cfg, suffix) -> str | None:
-    if args.out is None:
-        return None
-    os.makedirs(args.out, exist_ok=True)
-    ext = "json" if args.format == "json" else "csv"
-    return os.path.join(args.out, f"{cfg.name}_{suffix}.{ext}")
-
-
-def _run_sim(cfg, args) -> int:
+def _run_sim(cfg, args) -> None:
     rows = _sim_rows(cfg)
-    path = _outpath(args, cfg, "sim")
-    _emit(rows, SIM_HEADER, path, args.format)
-    if path:
-        print(f"wrote {path}")
+    text = _emit(rows, SIM_HEADER, args.format)
+    _write(args, f"{cfg.name}_sim.{args.format}", lambda fh: fh.write(text))
     _summary(cfg, rows, "normalized_performance")
-    return 0
 
 
 def hardware_problems(cfg: ExperimentConfig) -> list[str]:
@@ -243,52 +233,30 @@ def _run_native(cfg, args) -> int:
             cfg, native=dataclasses.replace(cfg.native, duration=args.duration)
         )
     rows = _native_rows(cfg)
-    comments = [
-        f"experiment: {cfg.name}",
-        f"duration_s: {cfg.native.duration}",
-        f"usable_cpus: {sorted(available_cpus())}",
-        f"hw_checks: {'skipped: ' + '; '.join(problems) if problems else 'passed'}",
-    ]
-    path = _outpath(args, cfg, "native")
-    _emit(rows, NATIVE_HEADER, path, args.format, comments=comments)
-    if path:
-        print(f"wrote {path}")
+    # the host and the verdict of its checks, recorded with the rows
+    record = {
+        "experiment": cfg.name,
+        "duration_s": cfg.native.duration,
+        "usable_cpus": sorted(available_cpus()),
+        "hw_checks": "skipped: " + "; ".join(problems) if problems else "passed",
+    }
+    text = _emit(rows, NATIVE_HEADER, args.format, record)
+    _write(args, f"{cfg.name}_native.{args.format}", lambda fh: fh.write(text))
     _summary(cfg, rows, "normalized_bandwidth")
     return 0
 
 
-def cmd_sim(args) -> int:
-    return _run_sim(_apply_seed(load_experiment(args.config), args.seed), args)
-
-
-def cmd_native(args) -> int:
-    return _run_native(_apply_seed(load_experiment(args.config), args.seed), args)
-
-
-def cmd_run(args) -> int:
-    cfg = _apply_seed(load_experiment(args.config), args.seed)
+def cmd_run(args, cfg: ExperimentConfig) -> int:
     if args.mode in ("sim", "both"):
-        rc = _run_sim(cfg, args)
-        if rc:
-            return rc
+        _run_sim(cfg, args)
     if args.mode in ("native", "both"):
-        rc = _run_native(cfg, args)
-        if rc:
-            return rc
+        return _run_native(cfg, args)
     return 0
 
 
-def cmd_emit_config(args) -> int:
-    cfg = _apply_seed(load_experiment(args.config), args.seed)
+def cmd_emit_config(args, cfg: ExperimentConfig) -> int:
     text = json.dumps(experiment_to_dict(cfg), indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{cfg.name}_resolved.json")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
+    _write(args, f"{cfg.name}_resolved.json", lambda fh: fh.write(text))
     return 0
 
 
@@ -313,23 +281,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=1000, help="events per thread")
     p.set_defaults(fn=cmd_gen)
 
+    native_opts = argparse.ArgumentParser(add_help=False)
+    native_opts.add_argument("--duration", type=float,
+                             help="seconds per timed native co-run")
+    native_opts.add_argument("--skip-hw-checks", action="store_true",
+                             help="run natively even on an unsuitable host "
+                                  "(reported in output)")
+
     p = sub.add_parser("sim", help="simulate the experiment's interference report")
     p.add_argument("config")
-    p.set_defaults(fn=cmd_sim)
+    p.set_defaults(fn=cmd_run, mode="sim")
 
-    p = sub.add_parser("native", help="run the experiment natively on this host")
+    p = sub.add_parser("native", parents=[native_opts],
+                       help="run the experiment natively on this host")
     p.add_argument("config")
-    p.add_argument("--duration", type=float, help="seconds per timed co-run")
-    p.add_argument("--skip-hw-checks", action="store_true",
-                   help="run even on an unsuitable host (reported in output)")
-    p.set_defaults(fn=cmd_native)
+    p.set_defaults(fn=cmd_run, mode="native")
 
-    p = sub.add_parser("run", help="run an experiment in sim, native, or both modes")
+    p = sub.add_parser("run", parents=[native_opts],
+                       help="run an experiment in sim, native, or both modes")
     p.add_argument("config")
     p.add_argument("--mode", choices=("sim", "native", "both"), default="sim")
-    p.add_argument("--duration", type=float, help="seconds per timed native co-run")
-    p.add_argument("--skip-hw-checks", action="store_true",
-                   help="run natively even on an unsuitable host")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("emit-config", help="print the resolved experiment as literal JSON")
@@ -342,7 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if "config" not in args:
+            return args.fn(args)
+        if getattr(args, "limit", 0) < 0:   # refused before any output exists
+            raise ConfigError("limit must be >= 0")
+        return args.fn(args, _apply_seed(load_experiment(args.config), args.seed))
     except BrokenPipeError:
         # the reader left early (`| head`); stdout can no longer be flushed,
         # so point it at /dev/null for the interpreter's exit

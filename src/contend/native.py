@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import BucketSort, StreamKernel, StridedWalk, WorkloadSpec
+from .patterns import BucketSort, StreamKernel, StridedWalk, WorkloadSpec, _buckets
 
 DEFAULT_LINE_SIZE = 64
 
@@ -74,10 +74,10 @@ def _alloc_words(n_words: int) -> np.ndarray:
     return np.frombuffer(mm, dtype=np.int64, count=n_words)
 
 
-def bytes_per_pass(pattern, line_size: int = DEFAULT_LINE_SIZE) -> int:
+def bytes_per_pass(pattern) -> int:
     """Exact bytes accounted to one full pass of a pattern: its accesses
     times the bytes one access moves, a whole line for the walks."""
-    return pattern.pass_length * (pattern.access_bytes or line_size)
+    return pattern.pass_length * (pattern.access_bytes or DEFAULT_LINE_SIZE)
 
 
 def _alloc_arena(n_bytes: int) -> np.ndarray:
@@ -143,8 +143,8 @@ def _stream_kernel(p: StreamKernel, arena):
 
 
 def _bucket_kernel(p: BucketSort, arena):
-    keys = p.keys().astype(np.uint64)   # the simulator's keys
-    buckets = ((keys * p.n_buckets) >> 32).astype(np.intp)
+    keys = p.keys().astype(np.uint64)   # the simulator's keys and buckets
+    buckets = _buckets(p, p.n_keys).astype(np.intp)
     out = np.zeros(p.n_keys, dtype=np.uint64)
 
     def sort_pass():

@@ -329,7 +329,6 @@ def gen_offchip_antagonist(
     array_bytes: int = 2 * MIB,
     stride: int | None = None,
     op_mix: str = "read",
-    base: int = 0,
     strict: bool = True,
     cpus=(),
 ) -> WorkloadSpec:
@@ -353,14 +352,12 @@ def gen_offchip_antagonist(
         )
     if array_bytes % stride != 0:
         raise PatternError(f"array_bytes {array_bytes} not a multiple of stride {stride}")
-    if base % g.line_size != 0:
-        raise PatternError(f"base {base:#x} not line-aligned")
     walk = StridedWalk(array_bytes, stride, op_mix)
-    threads = [ThreadSpec(walk, base + t * array_bytes) for t in range(n_threads)]
+    threads = [ThreadSpec(walk, t * array_bytes) for t in range(n_threads)]
     return WorkloadSpec("harm.offchip", threads, cpus)
 
 
-def gen_onchip_antagonist(g: CacheGeometry, n_threads: int = 4, base: int = 0) -> WorkloadSpec:
+def gen_onchip_antagonist(g: CacheGeometry, n_threads: int = 4) -> WorkloadSpec:
     """Whole-cache walkers over one shared capacity-sized arena.
 
     Threads advance line by line from equally spaced, line-aligned starting
@@ -369,21 +366,19 @@ def gen_onchip_antagonist(g: CacheGeometry, n_threads: int = 4, base: int = 0) -
     """
     if n_threads < 1:
         raise PatternError("n_threads must be >= 1")
-    if base % g.line_size != 0:
-        raise PatternError(f"base {base:#x} not line-aligned")
     cap = g.capacity
     line = g.line_size
     threads = [
-        ThreadSpec(StridedWalk(cap, line, "read", (t * cap // n_threads) // line * line), base)
+        ThreadSpec(StridedWalk(cap, line, "read", (t * cap // n_threads) // line * line), 0)
         for t in range(n_threads)
     ]
     return WorkloadSpec("harm.onchip", threads)
 
 
-def gen_stream(kind: str, n_elems: int, base: int = 0, cpu: int | None = None) -> WorkloadSpec:
+def gen_stream(kind: str, n_elems: int, cpu: int | None = None) -> WorkloadSpec:
     """Single-threaded vector kernel over arrays a, b, c laid back to back."""
     k = StreamKernel(kind, n_elems)
-    return WorkloadSpec(f"stream.{kind}", (ThreadSpec(k, base),), () if cpu is None else (cpu,))
+    return WorkloadSpec(f"stream.{kind}", (ThreadSpec(k, 0),), () if cpu is None else (cpu,))
 
 
 def gen_bucket_sort(
@@ -391,11 +386,10 @@ def gen_bucket_sort(
     n_buckets: int = 10,
     iterations: int = 10,
     seed: int = 0,
-    base: int = 0,
 ) -> WorkloadSpec:
     """Single-threaded seeded bucket sort over 32-bit keys."""
     p = BucketSort(n_keys, n_buckets, iterations, seed)
-    return WorkloadSpec("bucketsort", (ThreadSpec(p, base),))
+    return WorkloadSpec("bucketsort", (ThreadSpec(p, 0),))
 
 
 def relocate(w: WorkloadSpec, new_base: int) -> WorkloadSpec:

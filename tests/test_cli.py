@@ -547,6 +547,46 @@ def test_emit_config_matches_golden(tmp_path, capsys, name):
         assert (tmp_path / f"{name}_resolved.json").read_bytes() == fh.read()
 
 
+TRACES = [(name, w.name)
+          for name in sorted(n[:-len(".json")] for n in os.listdir(CONFIGS) if n.endswith(".json"))
+          for cfg in [load_experiment(os.path.join(CONFIGS, f"{name}.json"))]
+          for w in (cfg.primary, *cfg.secondaries)]
+
+
+@pytest.mark.parametrize("name, workload", TRACES)
+def test_gen_matches_golden(tmp_path, capsys, name, workload):
+    assert main(["--out", str(tmp_path), "gen", os.path.join(CONFIGS, f"{name}.json"),
+                 "--limit", "32", "--workload", workload]) == 0
+    filename = f"{name}_{workload}_trace.csv"
+    with open(os.path.join(GOLDEN, filename), "rb") as fh:
+        assert (tmp_path / filename).read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("argv, filename", [
+    (["gen", TOY_DEMO, "--limit", "8", "--workload", "harm.onchip"],
+     "toy_demo_harm.onchip_trace.csv"),
+    (["sim", TOY_DEMO], "toy_demo_sim.csv"),
+    (["--format", "json", "sim", TOY_DEMO], "toy_demo_sim.json"),
+    (["emit-config", TOY_DEMO], "toy_demo_resolved.json"),
+], ids=["gen", "sim-csv", "sim-json", "emit-config"])
+def test_out_file_holds_what_stdout_shows(tmp_path, capsys, argv, filename):
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(["--out", str(tmp_path), *argv]) == 0
+    wrote = f"wrote {tmp_path / filename}\n"
+    out = capsys.readouterr().out
+    assert out.startswith(wrote)
+    # the file takes the place of its text; the summary that follows stays
+    assert (tmp_path / filename).read_bytes().decode() + out[len(wrote):] == plain
+
+
+def test_sim_is_run_in_sim_mode(capsys):
+    assert main(["--seed", "1", "sim", TOY_DEMO]) == 0
+    sim = capsys.readouterr()
+    assert main(["--seed", "1", "run", TOY_DEMO, "--mode", "sim"]) == 0
+    assert capsys.readouterr() == sim
+
+
 def test_seed_reseeds_bucket_sort(tmp_path, capsys):
     cfg = toy_config_dict(primary={"generator": "bucketsort", "n_keys": 16,
                                    "n_buckets": 2, "iterations": 1})
@@ -590,6 +630,20 @@ def test_native_forced_run_reports_skip(tmp_path, capsys):
     assert any(l.startswith("# hw_checks:") for l in lines)
     rows = [l for l in lines if l.startswith("primary@idle,")]
     assert rows and rows[0].endswith("1.000000")
+
+
+def test_native_json_records_the_host(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "--format", "json", "native", TOY_DEMO,
+               "--skip-hw-checks", "--duration", "0.05"])
+    assert rc == 0
+    record = json.loads((tmp_path / "toy_demo_native.json").read_text())
+    # toy_demo has no pin map, so the checks are always skipped
+    assert record["hw_checks"].startswith("skipped: ")
+    assert record["experiment"] == "toy_demo"
+    assert record["duration_s"] == 0.05
+    assert record["usable_cpus"]
+    assert record["rows"][0]["workload"] == "primary@idle"
+    assert record["rows"][0]["normalized_bandwidth"] == "1.000000"
 
 
 def test_native_pin_outside_mask_exits_2(tmp_path, capsys):
