@@ -178,3 +178,75 @@ int64_t simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *f
     free(mq);
     return ok ? closed : -1;
 }
+
+/* The bucket sort of contend.patterns.BucketSort: the bucket index of each
+ * of its first count keys, and with pos the stable output position.
+ *
+ * The keys are those of CPython's random.Random(seed).randbytes(4 * count)
+ * read as little-endian uint32: MT19937 (Matsumoto and Nishimura, 1998)
+ * seeded by init_by_array over key[0 .. key_len), the 32-bit words of
+ * abs(seed) least significant first ([0] for seed 0), then one output per
+ * sort key.  Sort key i, of value v, goes to bucket[i] = (v * n_buckets) >>
+ * 32.  pos is NULL, or receives pos[i], the number of sort keys before key i
+ * in a sort by bucket that keeps equal buckets in key order: a counting sort
+ * over n_buckets counters, which needs every key, so count must then be the
+ * sort's n_keys.  Keeps no state between calls.  Returns 0, or -1 when
+ * memory runs out.
+ */
+enum { MT_N = 624, MT_M = 397 };
+
+static uint32_t mt_mix(uint32_t y) { return (y >> 1) ^ (-(y & 1) & 0x9908b0dfU); }
+
+static void mt_twist(uint32_t *mt)
+{
+    int k;
+    for (k = 0; k < MT_N - MT_M; k++)
+        mt[k] = mt[k + MT_M] ^ mt_mix((mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU));
+    for (; k < MT_N - 1; k++)
+        mt[k] = mt[k + MT_M - MT_N] ^ mt_mix((mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU));
+    mt[k] = mt[MT_M - 1] ^ mt_mix((mt[k] & 0x80000000U) | (mt[0] & 0x7fffffffU));
+}
+
+int simcore_bucket_sort(const uint32_t *key, int64_t key_len, int64_t count,
+                        uint64_t n_buckets, uint32_t *bucket, uint32_t *pos)
+{
+    uint32_t mt[MT_N];
+    int64_t i = 1, j = 0, k;
+    mt[0] = 19650218U;
+    for (k = 1; k < MT_N; k++)
+        mt[k] = 1812433253U * (mt[k - 1] ^ (mt[k - 1] >> 30)) + (uint32_t)k;
+    for (k = key_len > MT_N ? key_len : MT_N; k > 0; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
+        if (++i >= MT_N) mt[0] = mt[MT_N - 1], i = 1;
+        if (++j >= key_len) j = 0;
+    }
+    for (k = MT_N - 1; k > 0; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        if (++i >= MT_N) mt[0] = mt[MT_N - 1], i = 1;
+    }
+    mt[0] = 0x80000000U;
+
+    for (i = 0; i < count; i += MT_N) {  /* a block of MT_N outputs per twist */
+        mt_twist(mt);
+        for (k = 0; k < MT_N && i + k < count; k++) {
+            uint32_t y = mt[k];
+            y ^= y >> 11;
+            y ^= (y << 7) & 0x9d2c5680U;
+            y ^= (y << 15) & 0xefc60000U;
+            y ^= y >> 18;
+            bucket[i + k] = (uint32_t)(((uint64_t)y * n_buckets) >> 32);
+        }
+    }
+    if (!pos) return 0;
+    uint32_t *next = calloc(n_buckets, sizeof *next), sum = 0;
+    if (!next) return -1;
+    for (i = 0; i < count; i++) next[bucket[i]]++;
+    for (uint64_t b = 0; b < n_buckets; b++) {  /* exclusive prefix sum */
+        uint32_t c = next[b];
+        next[b] = sum;
+        sum += c;
+    }
+    for (i = 0; i < count; i++) pos[i] = next[bucket[i]]++;
+    free(next);
+    return 0;
+}

@@ -143,8 +143,9 @@ def _stream_kernel(p: StreamKernel, arena):
 
 
 def _bucket_kernel(p: BucketSort, arena):
-    keys = p.keys().astype(np.uint64)   # the simulator's keys and buckets
-    buckets = _buckets(p, p.n_keys).astype(np.intp)
+    keys = p.keys()   # the simulator's keys and buckets
+    buckets = _buckets(keys, p.n_buckets).astype(np.intp)
+    keys = keys.astype(np.uint64)
     out = np.zeros(p.n_keys, dtype=np.uint64)
 
     def sort_pass():

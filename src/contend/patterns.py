@@ -29,6 +29,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
+from . import _compiled
 from .geometry import CacheGeometry, _check_json, bank_of, conflict_stride, set_of
 
 KIB = 1024
@@ -201,7 +202,9 @@ class BucketSort:
     def keys(self, count: int | None = None) -> np.ndarray:
         """The seeded generator's first count (default n_keys) successive
         32-bit draws, as uint32: randbytes lays out getrandbits(32) words
-        least significant first, so a shorter draw is a prefix of a longer."""
+        least significant first, so a shorter draw is a prefix of a longer.
+        ops() and the native kernel use these; line_feed's compiled draw
+        (_drawn_buckets) gives the same keys without them."""
         n = self.n_keys if count is None else count
         return np.frombuffer(random.Random(self.seed).randbytes(4 * n), "<u4")
 
@@ -224,18 +227,14 @@ class BucketSort:
 
     def line_feed(self, line_shift: int, limit: int) -> tuple[np.ndarray, int]:
         """One iteration; its 4-byte words are keys [0, n), counters
-        [n, n + n_buckets), then the output."""
+        [n, n + n_buckets), then the output.  The buckets and positions come
+        from the compiled library (_drawn_buckets): only the buckets of the
+        keys counted, and the positions only when a permuting write is in."""
         n, nb = self.n_keys, self.n_buckets
         total = self.iterations * self.pass_length
         length = min(self.pass_length, limit, total)
         perm = 2 * n + nb
-        # keys and buckets come and go before the feed is allocated: in the
-        # other order, 20 bucketsort_onchip sims in one process peaked 2 MiB higher
-        if length > perm:
-            buckets, pos = _bucket_positions(self)
-        else:   # no permuting write: only the buckets of the keys counted
-            buckets = _buckets(self, min(max(length - n, 0), n))
-            pos = np.empty(0, np.uint32)
+        buckets, pos = _drawn_buckets(self, min(max(length - n, 0), n), length > perm)
         feed = np.empty(length, np.uint32)
 
         def put(view, first, values=None):
@@ -405,25 +404,50 @@ def relocate(w: WorkloadSpec, new_base: int) -> WorkloadSpec:
 # expansion into access events
 
 
-def _buckets(p: BucketSort, count: int) -> np.ndarray:
-    """Bucket index of each of the first count keys, as uint32."""
+def _buckets(keys: np.ndarray, n_buckets: int) -> np.ndarray:
+    """Bucket index of each of the keys, as uint32."""
     # bucket indices (keys * n_buckets) >> 32 need 64-bit products
-    wide = np.multiply(p.keys(count), p.n_buckets, dtype=np.uint64)
+    wide = np.multiply(keys, n_buckets, dtype=np.uint64)
+    # a fresh keys array passed in (this frame then holds its only reference)
+    # is freed here, so the result can reuse its memory: held to the end, it
+    # put bucketsort_onchip's setup_s 6% higher
+    del keys
     wide >>= 32
     return wide.astype(np.uint32)
 
 
 def _bucket_positions(p: BucketSort) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket index and stable output position of every key, as uint32.
+    """Bucket index and stable output position of every key, as uint32, for
+    ops(); _drawn_buckets gives the same for line_feed.
 
     Linear in n_keys up to 65536 buckets: the stable sort runs on the bucket
     indices cast to the narrowest unsigned type that holds n_buckets - 1,
     and numpy's stable sort of an integer type of 16 bits or less is a radix
     sort.  With more buckets the same call is a merge sort on uint32."""
-    buckets = _buckets(p, p.n_keys)
+    buckets = _buckets(p.keys(), p.n_buckets)
     order = np.argsort(buckets.astype(np.min_scalar_type(p.n_buckets - 1)), kind="stable")
     pos = np.empty(p.n_keys, np.uint32)
     pos[order] = np.arange(p.n_keys, dtype=np.uint32)
+    return buckets, pos
+
+
+def _drawn_buckets(p: BucketSort, count: int, positions: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket index of each of the first count keys and, with positions
+    (count must then be n_keys), stable output position of each key, as
+    uint32: _buckets and _bucket_positions from the compiled library, which
+    draws the keys as random.Random(seed) does and places them by a counting
+    sort.  Without positions nothing of n_buckets' size is allocated."""
+    lib = _compiled.library()
+    if lib is None:
+        raise PatternError("a bucket sort's line feed needs the compiled library")
+    seed = abs(p.seed)   # random.seed takes the words of abs(seed), least significant first
+    words = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"),
+                          "<u4").astype(np.uint32, copy=False)
+    buckets = np.empty(count, np.uint32)
+    pos = np.empty(count if positions else 0, np.uint32)
+    if lib.simcore_bucket_sort(words.ctypes.data, len(words), count, p.n_buckets,
+                               buckets.ctypes.data, pos.ctypes.data if positions else None) < 0:
+        raise MemoryError("simcore_bucket_sort could not allocate its bucket counters")
     return buckets, pos
 
 

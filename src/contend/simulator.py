@@ -12,8 +12,12 @@ lowest (workload, thread) id, so runs are bit-deterministic.
 
 simulate runs the event loop compiled from _simcore.c, built with the
 system C compiler on first use and cached under $XDG_CACHE_HOME/contend
-(default ~/.cache/contend).  Without a compiler it falls back to _run, the
-pure-Python loop that is also the compiled loop's reference.  The compiled
+(default ~/.cache/contend) by _compiled.  Without a compiler it falls back
+to _run, the pure-Python loop that is also the compiled loop's reference.
+A bucket sort's line feed takes its keys' buckets and output positions
+from the same library, which draws the keys as random.Random(seed) does
+and places them by a counting sort; _run reads ops(), whose keys come from
+random itself.  The compiled
 loop ends a run in closed form once no access can miss again: when every
 unfinished thread has run a whole cycle of its feed, all hits, with no miss
 anywhere since, every line left to touch is cached, and a hit evicts nothing
@@ -30,23 +34,17 @@ serial run gives.
 
 from __future__ import annotations
 
-import atexit
 import collections
 import ctypes
-import functools
-import hashlib
 import heapq
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import _compiled
 from .geometry import CacheGeometry, bank_of, set_of, validate_geometry
 from .native import available_cpus
 from .patterns import OP_MIXES, StridedWalk, WorkloadSpec, iter_ops, validate_workloads
@@ -242,59 +240,11 @@ def _run(workloads: list[WorkloadSpec], cfg: SimConfig) -> dict:
     }
 
 
-_SIMCORE_SOURCE = Path(__file__).with_name("_simcore.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
-
-
-def _compile_simcore(cc: str, out_dir: str) -> str:
-    """Path of the compiled kernel in out_dir, building it if absent; the
-    name carries a digest of the source and flags, so a stale build is
-    never loaded."""
-    digest = hashlib.sha256(_SIMCORE_SOURCE.read_bytes()
-                            + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-    lib = os.path.join(out_dir, f"simcore-{digest}.so")
-    if not os.path.exists(lib):
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=out_dir)
-        os.close(fd)
-        try:
-            subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SIMCORE_SOURCE)],
-                           check=True, capture_output=True)
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return lib
-
-
-@functools.cache
 def _simcore():
     """The compiled simcore_run, or None (after one line on stderr) when it
     cannot be built."""
-    cc = shutil.which("cc")
-    if cc is None:
-        print("contend: no C compiler (cc) found; simulating with the slower "
-              "pure-Python loop", file=sys.stderr)
-        return None
-    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
-                         or os.path.expanduser("~/.cache"), "contend")
-    try:
-        try:
-            os.makedirs(cache, exist_ok=True)
-            lib = _compile_simcore(cc, cache)
-        except OSError:   # no writable cache: a directory private to this process
-            private = tempfile.mkdtemp(prefix="contend-")
-            atexit.register(shutil.rmtree, private, ignore_errors=True)
-            lib = _compile_simcore(cc, private)
-        fn = ctypes.CDLL(lib).simcore_run
-    except (OSError, subprocess.CalledProcessError) as e:
-        print(f"contend: cannot build {_SIMCORE_SOURCE.name} ({e}); simulating "
-              f"with the slower pure-Python loop", file=sys.stderr)
-        return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_uint64, i64, i64,
-                   i64, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    fn.restype = i64
-    return fn
+    lib = _compiled.library()
+    return None if lib is None else lib.simcore_run
 
 
 def _line_feed(pattern, line_shift: int, limit: int, starts=(0,)) -> tuple[np.ndarray, int]:
@@ -424,7 +374,7 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
     caller itself is never pinned and no CPU is picked by its number, so
     concurrent callers spread as the scheduler places them.
     """
-    kernel = _simcore()   # before any thread: functools.cache is not a lock
+    kernel = _simcore()   # before any thread: the library's cache is not a lock
     g = cfg.geometry
     for ws in runs:
         _check_placement(ws, g)

@@ -1,9 +1,12 @@
 import io
 import random
+import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from contend import patterns
 from contend.experiment import experiment_from_dict
 from contend.geometry import bank_of, conflict_stride, preset, set_of
 from contend.patterns import (
@@ -14,6 +17,7 @@ from contend.patterns import (
     ThreadSpec,
     WorkloadSpec,
     _bucket_positions,
+    _drawn_buckets,
     footprint,
     gen_bucket_sort,
     gen_offchip_antagonist,
@@ -227,25 +231,49 @@ def test_bucket_sort_matches_reference():
     assert pos.tolist() == list(range(300))
 
 
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@needs_cc
 def test_bucket_sort_feed_draws_only_the_keys_it_needs(monkeypatch):
-    # a feed that ends before the permute phase draws the keys it counts;
-    # a longer one draws every key to place them
+    # a feed that ends before the permute phase draws the keys it counts and
+    # places none; a longer one draws every key to place them
     p = BucketSort(50, 7, iterations=2, seed=9)
     full, _ = p.line_feed(2, p.pass_length)
     draws = []
-    keys = BucketSort.keys
 
-    def spy(self, count=None):
-        out = keys(self, count)
-        draws.append(len(out))
+    def spy(p, count, positions):
+        out = _drawn_buckets(p, count, positions)
+        draws.append((len(out[0]), len(out[1])))
         return out
-    monkeypatch.setattr(BucketSort, "keys", spy)
+    monkeypatch.setattr(patterns, "_drawn_buckets", spy)
     for limit in range(p.pass_length + 3):
         draws.clear()
         feed, n = p.line_feed(2, limit)
         assert n == limit
         assert feed.tolist() == full[:limit].tolist()
-        assert sum(draws) == min(max(limit - 50, 0), 50)
+        placed = 50 if limit > 2 * 50 + 7 else 0
+        assert draws == [(min(max(limit - 50, 0), 50), placed)]
+
+
+@needs_cc
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70 + 5, -7])
+def test_compiled_draw_matches_random(seed):
+    # no keys; one bucket; more buckets than keys; past 256 buckets; the benchmark's sort
+    for n_keys, n_buckets in [(0, 5), (37, 1), (50, 70000), (600, 300), (262144, 256)]:
+        p = BucketSort(n_keys, n_buckets, seed=seed)
+        keys = np.frombuffer(random.Random(seed).randbytes(4 * n_keys), "<u4").tolist()
+        bucket = [(k * n_buckets) >> 32 for k in keys]
+        pos = [0] * n_keys
+        for at, i in enumerate(sorted(range(n_keys), key=bucket.__getitem__)):
+            pos[i] = at
+        got_buckets, got_pos = _drawn_buckets(p, n_keys, True)
+        assert got_buckets.tolist() == bucket
+        assert got_pos.tolist() == pos
+        # the count phase alone: a prefix of the buckets, no positions
+        got_buckets, got_pos = _drawn_buckets(p, n_keys // 3, False)
+        assert got_buckets.tolist() == bucket[:n_keys // 3]
+        assert len(got_pos) == 0
 
 
 def test_bucket_sort_seed_determinism():
