@@ -15,7 +15,7 @@
  * now + hit_latency, and now never decreases; after a miss it is ready at
  * dq + mem_latency, and the one FIFO controller's dequeue time dq grows by
  * at least interval per miss.  Several misses in flight per thread, or bus
- * stages in front of the controller (ROADMAP item 4), break this.
+ * stages in front of the controller (ROADMAP item 5), break this.
  *
  * Closed form.  It rests on one invariant: a hit changes no cache contents
  * and no controller state (it only reorders its set and may set a dirty
@@ -29,14 +29,44 @@
  * accesses all hit, it finishes at its ready time + r * hit_latency, and the
  * loop ends.  n_warm changes only on a hit wrap and on a finish, and is reset
  * lazily when serviced has moved.  A model change that lets a hit use the
- * controller or change what is cached (ROADMAP items 4, 10 and 11: miss
+ * controller or change what is cached (ROADMAP items 5, 11 and 12: miss
  * slots and bus stages, way partitions and rate caps, DRAM) must keep the
- * invariant or turn the closed form off.
+ * invariant or turn the closed form off; item 13's replacement bits, which
+ * a hit sets, belong to the set like its order.
+ *
+ * Repeats.  The model is deterministic and invariant under a shift of time:
+ * what runs next depends on the sets, the feed indices, the queues, and the
+ * ready times and the controller relative to one another, never on the clock
+ * itself or on a counter.  So when that state at a wrap of an anchor
+ * thread's feed (index back to 0) equals the state at an earlier one, with
+ * every time later by delta, the events between the two repeat every delta
+ * cycles until some thread finishes.  The compared state is, for each
+ * unfinished thread in queue order (the hit queue first), its id, feed index
+ * and ready time; max(mc_free, the earliest ready time); times taken from
+ * the anchor's ready time; and every set that an unfinished thread's feed
+ * maps to (contents, order, dirty bits, fill), the only sets a whole number
+ * of feed cycles can touch.  Brent's cycle finding (Brent, BIT 1980) runs
+ * over the anchor's wraps, the thread with the longest feed, and starts over
+ * whenever a thread finishes.  It compares the queues and a hash of the
+ * sets; a match is confirmed over one more period against a copy of the
+ * sets, so no cache-sized copy is made before one.  The loop then skips k
+ * periods, the most that bring no thread to its last event: counters, done,
+ * ready times, serviced, mc_free and last_dequeue move by k times their
+ * change per period, each thread's labels of the period repeat k times, and
+ * the closed form's bookkeeping starts over.  A period without a miss is
+ * left to the closed form, which ends the run within one more.  Model state
+ * that the items above add (outstanding fills, per-bus FIFOs, rate caps,
+ * open DRAM rows) must join the compared state and move with a skip, or the
+ * skip must be turned off.  A repeat takes a whole cycle of every feed and
+ * a skip at least one more, so until every unfinished thread can run its
+ * feed twice over (n_events >= 2 * feed_len), nothing can be skipped, and a
+ * copy of the loop without the check runs.
  *
  * Counters are per workload (wl[i] is thread i's); totals receives the
- * whole run's elapsed cycles and serviced controller lines.  labels is NULL
- * or receives one hit flag per event, thread after thread.  Returns the
- * number of events run in closed form, or -1 when memory runs out.
+ * whole run's elapsed cycles, serviced controller lines and events skipped
+ * in repeats.  labels is NULL or receives one hit flag per event, thread
+ * after thread.  Returns the number of events run in closed form, or -1 when
+ * memory runs out.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -47,35 +77,72 @@ struct thread {
     int64_t wrap_sv, warm_sv;  /* serviced at the last hit wrap, and when counted warm */
 };
 
-int64_t simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_len,
-                    const int64_t *start, const int64_t *n_events, const uint64_t *base_line,
-                    const int32_t *wl, uint64_t set_mask, int64_t assoc, int64_t hit_latency,
-                    int64_t mem_latency, int64_t interval, int wb_slot,
-                    int64_t *accesses, int64_t *hits, int64_t *fetched,
-                    int64_t *written_back, int64_t *finish, int64_t *totals,
-                    uint8_t *labels)
-{
-    /* zeroed, as set[0] is read even while its set is empty; that also brings
-     * the sets into the CPU caches before the loop */
-    uint64_t *ways = calloc((set_mask + 1) * (uint64_t)assoc, sizeof *ways);
-    int64_t *fill = calloc(set_mask + 1, sizeof *fill);
-    struct thread *th = calloc(n_threads + 1, sizeof *th);
-    /* the hit and miss queues: rings of thread ids, heads and tails count up */
-    uint32_t ring = 1, hh = 0, ht = 0, mh = 0, mt = 0;
-    while (ring < (uint32_t)n_threads) ring <<= 1;
-    int *hq = calloc(ring, sizeof *hq), *mq = calloc(ring, sizeof *mq);
-    int ok = ways && fill && th && hq && mq;
+/* The state at an anchor wrap, as the repeat check keeps it. */
+struct snap {
+    int64_t n_hits, n_queued;  /* threads in the hit queue, and in both */
+    int64_t ref, mc, serviced;  /* the anchor's ready time; the controller, from ref */
+    uint64_t hash;  /* of the sets */
+    int64_t *queued;  /* per queued thread, in queue order: id, pos, t - ref, done */
+    int64_t *count;  /* the four counters of each workload */
+    int64_t *sets;  /* NULL, or a copy of each set: fill, then assoc ways */
+};
 
-    int live = 0;  /* unfinished threads */
-    for (int i = 0; ok && i < n_threads; i++) {
-        th[i].pos = start[i];
-        th[i].wrap_sv = th[i].warm_sv = -1;
-        if (i > 0) th[i].label_at = th[i - 1].label_at + n_events[i - 1];
-        if (n_events[i] > 0) hq[ht++] = i, live++;  /* all ready at 0, in id order */
-    }
-    int64_t mc_free = 0, last_dequeue = 0, serviced = 0, closed = 0;
-    int64_t warm_for = -1;  /* n_warm unfinished threads are warm for serviced == warm_for */
-    int n_warm = 0;
+struct run {
+    /* simcore_run's arguments */
+    int n_threads, n_wl;
+    const uint32_t *const *feed;
+    const int64_t *feed_len, *n_events;
+    const uint64_t *base_line;
+    const int32_t *wl;
+    uint64_t set_mask;
+    int64_t assoc, hit_latency, mem_latency, interval;
+    int wb_slot;
+    int64_t *count[4], *finish;  /* accesses, hits, fetched, written back */
+    uint8_t *labels;
+    /* the loop */
+    uint64_t *ways;
+    int64_t *fill;
+    struct thread *th;
+    int *hq, *mq;  /* the hit and miss queues: rings of thread ids, heads and tails count up */
+    uint32_t ring, hh, ht, mh, mt;
+    int live, acyclic;  /* unfinished threads, and those that cannot run their feed twice */
+    int n_warm;  /* n_warm unfinished threads are warm for serviced == warm_for */
+    int64_t warm_for, mc_free, last_dequeue, serviced, skipped;
+    /* the repeat check */
+    int *order, n_order, next, anchor;  /* unfinished threads, longest feed first; the first is the anchor */
+    int64_t n_sets, *sets;  /* the sets that their feeds map to */
+    int64_t lam, power, confirm;  /* wraps since saved (-1: none), Brent's power, a period to confirm */
+    int64_t wrap_serviced;  /* serviced at the anchor's last wrap */
+    struct snap saved;
+};
+
+enum { ENDED, CYCLIC, WRAPPED, FINISHED };  /* why run_events returned */
+
+/* Runs events until the run ends.  Without detect, it returns CYCLIC once
+ * every unfinished thread can run its feed twice; with detect, WRAPPED after
+ * the anchor wraps and FINISHED after a thread finishes.  The loop's state
+ * lives in locals while it runs, as it did when the loop was all of
+ * simcore_run, and goes back to r when it returns. */
+static inline __attribute__((always_inline)) int run_events(struct run *r, const int detect)
+{
+    const uint32_t *const *feed = r->feed;
+    const int64_t *feed_len = r->feed_len, *n_events = r->n_events;
+    const uint64_t *base_line = r->base_line, set_mask = r->set_mask;
+    const int32_t *wl = r->wl;
+    const int64_t assoc = r->assoc, hit_latency = r->hit_latency,
+                  mem_latency = r->mem_latency, interval = r->interval;
+    const int wb_slot = r->wb_slot, anchor = r->anchor;
+    int64_t *accesses = r->count[0], *hits = r->count[1], *fetched = r->count[2],
+            *written_back = r->count[3], *finish = r->finish;
+    uint8_t *labels = r->labels;
+    uint64_t *ways = r->ways;
+    int64_t *fill = r->fill;
+    struct thread *th = r->th;
+    int *hq = r->hq, *mq = r->mq;
+    uint32_t ring = r->ring, hh = r->hh, ht = r->ht, mh = r->mh, mt = r->mt;
+    int live = r->live, acyclic = r->acyclic, n_warm = r->n_warm, why = ENDED;
+    int64_t warm_for = r->warm_for, mc_free = r->mc_free, last_dequeue = r->last_dequeue,
+            serviced = r->serviced;
     while (hh != ht || mh != mt) {
         int h = hq[hh & (ring - 1)], m = mq[mh & (ring - 1)];
         int from_hits = mh == mt || (hh != ht && (th[h].t < th[m].t
@@ -140,6 +207,15 @@ int64_t simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *f
             live--;
             if (p->warm_sv == serviced) n_warm--;
             if (n_warm == live && warm_for == serviced) break;
+            if (detect) {
+                why = FINISHED;
+                break;
+            }
+            /* read through r: a pointer kept for this rare branch costs the loop a register */
+            if (2 * r->feed_len[id] > r->n_events[id] && --acyclic == 0 && live) {
+                why = CYCLIC;
+                break;
+            }
         } else if (!hit) {
             mq[mt++ & (ring - 1)] = id;
         } else {
@@ -153,29 +229,313 @@ int64_t simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *f
                 p->wrap_sv = serviced;
             }
         }
+        if (detect && wrapped && id == anchor) {
+            why = WRAPPED;
+            break;
+        }
     }
+    r->hh = hh, r->ht = ht, r->mh = mh, r->mt = mt;
+    r->live = live, r->acyclic = acyclic, r->n_warm = n_warm;
+    r->warm_for = warm_for, r->mc_free = mc_free, r->last_dequeue = last_dequeue;
+    r->serviced = serviced;
+    return why;
+}
+
+/* Each copy of the loop is a function of its own, so that the registers of
+ * one are not allotted for the other. */
+static __attribute__((noinline)) int run_plain(struct run *r) { return run_events(r, 0); }
+static __attribute__((noinline)) int run_detect(struct run *r) { return run_events(r, 1); }
+
+/* The j-th queued thread, the hit queue first. */
+static int queued(const struct run *r, int64_t j)
+{
+    int64_t n_hits = r->ht - r->hh;
+    return j < n_hits ? r->hq[(r->hh + j) & (r->ring - 1)]
+                      : r->mq[(r->mh + j - n_hits) & (r->ring - 1)];
+}
+
+/* max(mc_free, the earliest ready time): the heads of the two sorted queues
+ * hold the earliest. */
+static int64_t controller(const struct run *r)
+{
+    int64_t mc = r->mc_free;
+    if (r->hh != r->ht && r->th[r->hq[r->hh & (r->ring - 1)]].t > mc)
+        mc = r->th[r->hq[r->hh & (r->ring - 1)]].t;
+    if (r->mh != r->mt && r->th[r->mq[r->mh & (r->ring - 1)]].t > mc)
+        mc = r->th[r->mq[r->mh & (r->ring - 1)]].t;
+    return mc;
+}
+
+/* splitmix64's output function (Steele, Lea and Flood, OOPSLA 2014) */
+static uint64_t mix(uint64_t x)
+{
+    x = (x ^ x >> 30) * 0xbf58476d1ce4e5b9u;
+    x = (x ^ x >> 27) * 0x94d049bb133111ebu;
+    return x ^ x >> 31;
+}
+
+/* A hash of every way of the sets, and of its place: ways past a set's fill
+ * stay 0.  The words are mixed apart and summed, so that they hash side by
+ * side. */
+static uint64_t set_hash(const struct run *r)
+{
+    uint64_t h = 0, at = 0;
+    for (int64_t i = 0; i < r->n_sets; i++) {
+        const uint64_t *set = r->ways + r->sets[i] * r->assoc;
+        for (int64_t way = 0; way < r->assoc; way++, at += 0x9e3779b97f4a7c15u) h += mix(set[way] + at);
+    }
+    return h;
+}
+
+/* Keeps the state in saved: with a copy of the sets when copy, else their
+ * hash.  Returns 0 when memory runs out. */
+static int save(struct run *r, int copy)
+{
+    struct snap *s = &r->saved;
+    s->n_hits = r->ht - r->hh;
+    s->n_queued = s->n_hits + (r->mt - r->mh);
+    s->ref = r->th[r->anchor].t;
+    s->mc = controller(r) - s->ref;
+    s->serviced = r->serviced;
+    for (int64_t j = 0; j < s->n_queued; j++) {
+        int id = queued(r, j);
+        int64_t *q = s->queued + 4 * j;
+        q[0] = id, q[1] = r->th[id].pos, q[2] = r->th[id].t - s->ref, q[3] = r->th[id].done;
+    }
+    for (int c = 0; c < 4; c++) memcpy(s->count + c * r->n_wl, r->count[c], r->n_wl * sizeof *s->count);
+    if (copy) {
+        int64_t stride = r->assoc + 1;
+        if (!s->sets && !(s->sets = malloc(r->n_sets * stride * sizeof *s->sets))) return 0;
+        for (int64_t i = 0; i < r->n_sets; i++) {
+            s->sets[i * stride] = r->fill[r->sets[i]];
+            memcpy(s->sets + i * stride + 1, r->ways + r->sets[i] * r->assoc, r->assoc * sizeof *r->ways);
+        }
+    } else {
+        s->hash = set_hash(r);
+    }
+    r->lam = 0;
+    return 1;
+}
+
+/* Whether the queues, feed indices and relative times equal saved's. */
+static int same_queues(const struct run *r)
+{
+    const struct snap *s = &r->saved;
+    int64_t ref = r->th[r->anchor].t;
+    if (r->ht - r->hh != s->n_hits
+        || s->n_hits + (r->mt - r->mh) != s->n_queued || controller(r) - ref != s->mc)
+        return 0;
+    for (int64_t j = 0; j < s->n_queued; j++) {
+        int id = queued(r, j);
+        const int64_t *q = s->queued + 4 * j;
+        if (q[0] != id || q[1] != r->th[id].pos || q[2] != r->th[id].t - ref) return 0;
+    }
+    return 1;
+}
+
+static int same_sets(const struct run *r)
+{
+    const int64_t stride = r->assoc + 1, *copy = r->saved.sets;
+    for (int64_t i = 0; i < r->n_sets; i++, copy += stride) {
+        int64_t n = r->fill[r->sets[i]];
+        if (copy[0] != n || memcmp(copy + 1, r->ways + r->sets[i] * r->assoc, n * sizeof *r->ways))
+            return 0;
+    }
+    return 1;
+}
+
+/* The state equals saved's, shifted by delta: skips k more periods. */
+static void skip(struct run *r)
+{
+    const struct snap *s = &r->saved;
+    int64_t delta = r->th[r->anchor].t - s->ref, k = INT64_MAX;
+    /* per > 0: the anchor's time moved by delta > 0, and so did every thread's */
+    for (int64_t j = 0; j < s->n_queued; j++) {
+        const int64_t *q = s->queued + 4 * j;
+        const struct thread *p = r->th + q[0];
+        int64_t per = p->done - q[3], left = (r->n_events[q[0]] - p->done - 1) / per;
+        if (left < k) k = left;
+    }
+    if (k == 0) return;
+    for (int64_t j = 0; j < s->n_queued; j++) {
+        const int64_t *q = s->queued + 4 * j;
+        struct thread *p = r->th + q[0];
+        int64_t per = p->done - q[3];
+        if (r->labels)
+            for (int64_t i = 0; i < k; i++)
+                memcpy(r->labels + p->label_at + p->done + i * per, r->labels + p->label_at + q[3], per);
+        p->t += k * delta;
+        p->done += k * per;
+        r->skipped += k * per;
+    }
+    for (int c = 0; c < 4; c++)
+        for (int w = 0; w < r->n_wl; w++)
+            r->count[c][w] += k * (r->count[c][w] - s->count[c * r->n_wl + w]);
+    r->serviced += k * (r->serviced - s->serviced);
+    r->mc_free += k * delta;
+    r->last_dequeue += k * delta;  /* the period missed, so it dequeued */
+    for (int i = 0; i < r->n_threads; i++) r->th[i].wrap_sv = r->th[i].warm_sv = -1;
+    r->n_warm = 0;
+    r->warm_for = -1;
+}
+
+/* One step of Brent's cycle finding at a wrap of the anchor: saved is the
+ * state lam steps ago, kept at 1, 2, 4, ... steps after the last restart.
+ * A wrap is a step only when something has missed since the anchor's last
+ * wrap; the state at one step still decides the next, and a period without
+ * a miss is the closed form's.  Returns 0 when memory runs out. */
+static int anchor_wrapped(struct run *r)
+{
+    if (r->serviced == r->wrap_serviced) return 1;
+    r->wrap_serviced = r->serviced;
+    if (r->lam >= 0) r->lam++;
+    if (r->lam < 0) {  /* nothing saved since the last restart */
+        r->power = 1;
+    } else if (r->confirm) {
+        if (r->lam < r->confirm) return 1;
+        if (same_queues(r) && same_sets(r)) skip(r);
+        r->confirm = 0;
+        r->power = 1;
+    } else if (same_queues(r) && set_hash(r) == r->saved.hash) {
+        r->confirm = r->lam;  /* a period of lam wraps, unless the hash collided */
+        return save(r, 1);
+    } else if (r->lam < r->power) {
+        return 1;
+    } else {
+        r->power *= 2;
+    }
+    return save(r, 0);
+}
+
+/* The unfinished threads changed: forget saved and take a new anchor. */
+static void restart(struct run *r)
+{
+    while (r->next < r->n_order && r->th[r->order[r->next]].done == r->n_events[r->order[r->next]])
+        r->next++;
+    r->anchor = r->next < r->n_order ? r->order[r->next] : -1;
+    r->lam = -1;
+    r->confirm = 0;
+    r->wrap_serviced = -1;
+}
+
+struct feed_key {
+    int64_t len;
+    int id;
+};
+
+/* longest feed first, then by id: no choice rests on where a feed lies in memory */
+static int longer_feed_first(const void *a, const void *b)
+{
+    const struct feed_key *x = a, *y = b;
+    if (x->len != y->len) return x->len > y->len ? -1 : 1;
+    return x->id - y->id;
+}
+
+/* Sets up the repeat check over the unfinished threads, of which there is
+ * at least one.  Returns 0 when memory runs out. */
+static int start_repeats(struct run *r)
+{
+    uint8_t *mark = calloc(r->set_mask + 1, 1);
+    struct feed_key *key = malloc(r->n_threads * sizeof *key);
+    r->order = malloc(r->n_threads * sizeof *r->order);
+    r->saved.queued = malloc(4 * r->n_threads * sizeof *r->saved.queued);
+    r->saved.count = malloc(4 * r->n_wl * sizeof *r->saved.count);
+    int ok = mark && key && r->order && r->saved.queued && r->saved.count;
+    for (int i = 0; ok && i < r->n_threads; i++)
+        if (r->th[i].done < r->n_events[i])
+            key[r->n_order++] = (struct feed_key){r->feed_len[i], i};
+    if (ok) qsort(key, r->n_order, sizeof *key, longer_feed_first);
+    /* past as many feed entries as there are sets, every set is taken: a
+     * superset does no harm, as sets that no feed maps to never change */
+    int64_t entries = 0;
+    for (int j = 0; ok && j < r->n_order; j++) {
+        int i = r->order[j] = key[j].id;
+        for (int64_t f = 0; f < r->feed_len[i] && entries <= (int64_t)r->set_mask; f++, entries++) {
+            uint64_t set = (r->base_line[i] + (r->feed[i][f] >> 1)) & r->set_mask;
+            r->n_sets += !mark[set];
+            mark[set] = 1;
+        }
+    }
+    if (entries > (int64_t)r->set_mask) memset(mark, 1, r->set_mask + 1), r->n_sets = r->set_mask + 1;
+    ok = ok && (r->sets = malloc(r->n_sets * sizeof *r->sets));
+    for (uint64_t set = 0, i = 0; ok && set <= r->set_mask; set++)
+        if (mark[set]) r->sets[i++] = (int64_t)set;
+    free(mark);
+    free(key);
+    restart(r);
+    return ok;
+}
+
+int64_t simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *feed_len,
+                    const int64_t *start, const int64_t *n_events, const uint64_t *base_line,
+                    const int32_t *wl, uint64_t set_mask, int64_t assoc, int64_t hit_latency,
+                    int64_t mem_latency, int64_t interval, int wb_slot,
+                    int64_t *accesses, int64_t *hits, int64_t *fetched,
+                    int64_t *written_back, int64_t *finish, int64_t *totals,
+                    uint8_t *labels)
+{
+    struct run r = {
+        .n_threads = n_threads, .feed = feed, .feed_len = feed_len, .n_events = n_events,
+        .base_line = base_line, .wl = wl, .set_mask = set_mask, .assoc = assoc,
+        .hit_latency = hit_latency, .mem_latency = mem_latency, .interval = interval,
+        .wb_slot = wb_slot, .count = {accesses, hits, fetched, written_back},
+        .finish = finish, .labels = labels, .ring = 1, .warm_for = -1, .anchor = -1,
+    };
+    /* zeroed, as set[0] is read even while its set is empty; that also brings
+     * the sets into the CPU caches before the loop */
+    r.ways = calloc((set_mask + 1) * (uint64_t)assoc, sizeof *r.ways);
+    r.fill = calloc(set_mask + 1, sizeof *r.fill);
+    r.th = calloc(n_threads + 1, sizeof *r.th);
+    while (r.ring < (uint32_t)n_threads) r.ring <<= 1;
+    r.hq = calloc(r.ring, sizeof *r.hq), r.mq = calloc(r.ring, sizeof *r.mq);
+    int ok = r.ways && r.fill && r.th && r.hq && r.mq;
+
+    for (int i = 0; ok && i < n_threads; i++) {
+        r.th[i].pos = start[i];
+        r.th[i].wrap_sv = r.th[i].warm_sv = -1;
+        if (i > 0) r.th[i].label_at = r.th[i - 1].label_at + n_events[i - 1];
+        if (wl[i] >= r.n_wl) r.n_wl = wl[i] + 1;
+        if (n_events[i] > 0) {  /* all ready at 0, in id order */
+            r.hq[r.ht++] = i, r.live++;
+            r.acyclic += 2 * feed_len[i] > n_events[i];
+        }
+    }
+    int why = !ok || !r.live ? ENDED : r.acyclic ? run_plain(&r) : CYCLIC;
+    if (why == CYCLIC) ok = start_repeats(&r);
+    while (ok && why != ENDED) {
+        why = run_detect(&r);
+        if (why == WRAPPED) ok = anchor_wrapped(&r);
+        else if (why == FINISHED) restart(&r);
+    }
+    int64_t closed = 0;
     if (ok) {
-        int64_t elapsed = last_dequeue;
+        int64_t elapsed = r.last_dequeue;
         for (int i = 0; i < n_threads; i++) {
             int w = wl[i];
-            int64_t r = n_events[i] - th[i].done, t = th[i].t + r * hit_latency;
-            if (r > 0) {  /* the loop broke with every unfinished thread warm: the rest hit */
-                accesses[w] += r;
-                hits[w] += r;
-                if (labels) memset(labels + th[i].label_at + th[i].done, 1, r);
+            int64_t left = n_events[i] - r.th[i].done, t = r.th[i].t + left * hit_latency;
+            if (left > 0) {  /* the loop broke with every unfinished thread warm: the rest hit */
+                accesses[w] += left;
+                hits[w] += left;
+                if (labels) memset(labels + r.th[i].label_at + r.th[i].done, 1, left);
                 if (t > finish[w]) finish[w] = t;
-                closed += r;
+                closed += left;
             }
             if (finish[w] > elapsed) elapsed = finish[w];
         }
         totals[0] = elapsed;
-        totals[1] = serviced;
+        totals[1] = r.serviced;
+        totals[2] = r.skipped;
     }
-    free(ways);
-    free(fill);
-    free(th);
-    free(hq);
-    free(mq);
+    free(r.ways);
+    free(r.fill);
+    free(r.th);
+    free(r.hq);
+    free(r.mq);
+    free(r.order);
+    free(r.sets);
+    free(r.saved.queued);
+    free(r.saved.count);
+    free(r.saved.sets);
     return ok ? closed : -1;
 }
 

@@ -22,7 +22,13 @@ loop ends a run in closed form once no access can miss again: when every
 unfinished thread has run a whole cycle of its feed, all hits, with no miss
 anywhere since, every line left to touch is cached, and a hit evicts nothing
 and leaves the controller alone, so the remaining events are added as hits
-in one step.  _run simulates every event; both give the same result.
+in one step.  It also skips repeats: once every unfinished thread can run
+its feed twice over, it compares the whole state at wraps of one thread's
+feed (feed indices, queues, ready times and controller relative to that
+thread's, and every set the feeds map to), and when the state has come back
+with every time later by the same delta, it adds whole periods at once, up
+to the last one before some thread's final event.  _run simulates every
+event; both give the same result.
 
 The runs behind one result (a co-run and the solo runs that give its
 baselines, or every run of an interference report) are independent, so
@@ -305,7 +311,7 @@ def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
             wl.append(wi)
     n_wl = len(workloads)
     counters = np.zeros((5, n_wl), np.int64)
-    totals = np.zeros(2, np.int64)
+    totals = np.zeros(3, np.int64)   # elapsed, serviced, events skipped in repeats
     labels = np.zeros(sum(n_events), np.uint8) if cfg.record_hit_miss else None
     arrays = [np.array([f.ctypes.data for f in feeds], np.uintp),
               np.array([len(f) for f in feeds], np.int64), np.array(starts, np.int64),

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import random
 import shutil
@@ -372,11 +373,11 @@ def geometries(draw):
 
 
 @st.composite
-def private_patterns(draw):
-    kind = draw(st.sampled_from(["strided", "stream", "bucketsort"]))
+def private_patterns(draw, short=False):
+    kind = "strided" if short else draw(st.sampled_from(["strided", "stream", "bucketsort"]))
     if kind == "strided":
         stride = draw(st.sampled_from([4, 12, 32, 64, 96, 256]))
-        steps = draw(st.integers(1, 9))
+        steps = draw(st.integers(1, 4 if short else 9))
         return StridedWalk(stride * steps, stride,
                            draw(st.sampled_from(["read", "write", "readwrite"])),
                            stride * draw(st.integers(0, steps - 1)))
@@ -391,15 +392,16 @@ def private_patterns(draw):
 
 
 @st.composite
-def workloads(draw, name):
+def workloads(draw, name, short=False):
+    """short: walks of a few steps only, whose feeds cycle many times"""
     threads, base = [], 0
-    for p in draw(st.lists(private_patterns(), max_size=3)):
+    for p in draw(st.lists(private_patterns(short), max_size=3)):
         threads.append(ThreadSpec(p, base))
         base += (p.arena_span + 255) // 256 * 256
     # walks that share one arena: one size, each its own stride, op mix and offset
     walkers = draw(st.integers(0, 3))
     if walkers:
-        size = draw(st.sampled_from([8, 64, 128])) * draw(st.integers(1, 12))
+        size = draw(st.sampled_from([8, 64, 128])) * draw(st.integers(1, 2 if short else 12))
         for _ in range(walkers):
             stride = draw(st.sampled_from([s for s in (8, 64, 128, 192) if size % s == 0]))
             offset = draw(st.integers(0, size // stride - 1)) * stride
@@ -415,6 +417,9 @@ def workloads(draw, name):
 def sim_runs(draw):
     g = draw(geometries())
     hit = draw(st.integers(1, 5))
+    # short feeds under long budgets: states repeat, and the compiled loop
+    # skips their periods
+    short = draw(st.booleans())
     cfg = SimConfig(
         geometry=g,
         hit_latency=hit,
@@ -422,11 +427,12 @@ def sim_runs(draw):
         mc_service_interval=draw(st.integers(1, 50)),
         writeback_counts_as_slot=draw(st.booleans()),
         # up to 700, so that a bucket sort with 280 buckets reaches its permute phase
-        per_thread_event_budget=draw(st.integers(1, 300) | st.integers(301, 700)),
+        per_thread_event_budget=draw(st.integers(500, 1500) if short
+                                     else st.integers(1, 300) | st.integers(301, 700)),
         record_hit_miss=True,
     )
     n = draw(st.integers(1, 3))
-    return pack([draw(workloads(f"w{i}")) for i in range(n)], 256), cfg
+    return pack([draw(workloads(f"w{i}", short)) for i in range(n)], 256), cfg
 
 
 HAVE_CC = shutil.which("cc") is not None
@@ -448,15 +454,17 @@ def run_compiled(ws, cfg, kernel=None):
     return simulator._run_compiled(kernel or simulator._simcore(), ws, cfg, feed_of)
 
 
-def closed_form_events(ws, cfg):
-    """run_compiled's result, and the events the loop ran in closed form."""
-    kernel, returned = simulator._simcore(), []
+def kernel_counts(ws, cfg):
+    """run_compiled's result, the events the loop ran in closed form, and the
+    events it skipped as repeats (totals[2], after elapsed and serviced)."""
+    kernel, counts = simulator._simcore(), []
 
     def recording(*args):
-        returned.append(kernel(*args))
-        return returned[-1]
+        closed = kernel(*args)
+        counts.append((closed, (ctypes.c_int64 * 3).from_address(args[-2])[2]))
+        return closed
 
-    return run_compiled(ws, cfg, recording), returned[0]
+    return (run_compiled(ws, cfg, recording), *counts[0])
 
 
 @needs_cc
@@ -535,7 +543,7 @@ def warm_runs():
 @pytest.mark.parametrize("ws, budget, holds", warm_runs())
 def test_closed_form_matches_run(ws, budget, holds):
     cfg = toy_cfg(per_thread_event_budget=budget, record_hit_miss=True)
-    raw, closed = closed_form_events(ws, cfg)
+    raw, closed, _ = kernel_counts(ws, cfg)
     assert raw == simulator._run(ws, cfg)
     assert closed > 0 and holds(raw)
 
@@ -560,9 +568,84 @@ def cold_runs():
 @pytest.mark.parametrize("ws, holds", cold_runs())
 def test_closed_form_waits_for_every_thread(ws, holds):
     cfg = toy_cfg(per_thread_event_budget=500, record_hit_miss=True)
-    raw, closed = closed_form_events(ws, cfg)
+    raw, closed, _ = kernel_counts(ws, cfg)
     assert raw == simulator._run(ws, cfg)
     assert closed == 0 and holds(raw)
+
+
+def repeating_runs():
+    cs = conflict_stride(TOY)
+    # 3 walkers of 2 lines each in one 4-way set: every access misses, and
+    # the state repeats every 6 events, with the controller busy throughout
+    offchip = [gen_offchip_antagonist(TOY, 3, array_bytes=2 * cs)]
+    for record in (True, False):
+        yield pytest.param(offchip, toy_cfg(per_thread_event_budget=3000, record_hit_miss=record),
+                           lambda raw: raw["hits"] == [0], id=f"all-miss-labels-{record}")
+    # dirty lines fall off: a write-back takes a controller slot, or not
+    readwrite = [gen_offchip_antagonist(TOY, 3, array_bytes=2 * cs, op_mix="readwrite")]
+    for wb_slot in (True, False):
+        yield pytest.param(readwrite, toy_cfg(writeback_counts_as_slot=wb_slot,
+                                              per_thread_event_budget=3000, record_hit_miss=True),
+                           lambda raw: raw["written_back"][0] > 0, id=f"readwrite-wb-slot-{wb_slot}")
+    # feeds of 3 and 4 lines in one set, all missing: by the 4-line walk's
+    # wraps, the 3-line walk's feed index repeats only every third, so the
+    # state repeats after 12 events of each, the lcm of the feeds
+    walks = WorkloadSpec("walks", (ThreadSpec(StridedWalk(3 * cs, cs)),
+                                   ThreadSpec(StridedWalk(4 * cs, cs), 3 * cs)))
+    yield pytest.param([walks], toy_cfg(per_thread_event_budget=3000, record_hit_miss=True),
+                       lambda raw: raw["hits"] == [0], id="feeds-of-3-and-4-lines")
+    # with mem_latency == hit_latency, the walkers back from a miss and the
+    # one-line walk after a hit are often ready in the same cycle
+    one_line = WorkloadSpec("one-line", (ThreadSpec(StridedWalk(32, 32)),))
+    yield pytest.param(pack([offchip[0], one_line], 4096),
+                       toy_cfg(hit_latency=4, mem_latency=4, mc_service_interval=3,
+                               per_thread_event_budget=3000, record_hit_miss=True),
+                       lambda raw: raw["hits"][1] == raw["accesses"][1] - 1, id="latencies-tie")
+    # the triad's 603-event feed cannot run twice in 1200 events, so nothing
+    # is compared until it finishes; the walkers then repeat on their own
+    yield pytest.param(pack([gen_stream("triad", 201), offchip[0]], 8192),
+                       toy_cfg(per_thread_event_budget=1200, record_hit_miss=True),
+                       lambda raw: raw["finish"][0] < raw["finish"][1], id="victim-then-walkers")
+
+
+@needs_cc
+@pytest.mark.parametrize("ws, cfg, holds", repeating_runs())
+def test_repeats_are_skipped(ws, cfg, holds):
+    raw, _, skipped = kernel_counts(ws, cfg)
+    assert raw == simulator._run(ws, cfg)
+    assert skipped > 0 and holds(raw)
+
+
+def near_repeats():
+    cs = conflict_stride(TOY)
+    # at the first two steps of the anchor (the read walk, the first of the
+    # longest feeds) the feed indices, times and queues agree, and the sets
+    # agree but for one dirty bit, of line 0x205 in set 5, which the write
+    # walk sets in between; the true repeat comes too late to skip in 29 events
+    shared = WorkloadSpec("shared", (ThreadSpec(StridedWalk(192, 32, "read", 96), 16384),
+                                     ThreadSpec(StridedWalk(192, 32, "write"), 16384)))
+    yield pytest.param([WorkloadSpec("a", (ThreadSpec(StridedWalk(4 * cs, cs, "write")),)), shared],
+                       toy_cfg(hit_latency=2, mem_latency=3, mc_service_interval=1,
+                               per_thread_event_budget=29, record_hit_miss=True),
+                       id="one-dirty-bit")
+    # here, at the first two steps of the 5-line walk, the sets agree but for
+    # the order of two lines of set 4
+    walks = WorkloadSpec("w", (ThreadSpec(StridedWalk(4 * cs, cs, "read", cs)),
+                               ThreadSpec(StridedWalk(384, 96, "readwrite"), 4096),
+                               ThreadSpec(StridedWalk(160, 32, "read", 128), 5120),
+                               ThreadSpec(StridedWalk(256, 64, "read", 64), 6144)))
+    yield pytest.param([walks], toy_cfg(hit_latency=3, mem_latency=6, mc_service_interval=4,
+                                        writeback_counts_as_slot=False,
+                                        per_thread_event_budget=51, record_hit_miss=True),
+                       id="one-set-order")
+
+
+@needs_cc
+@pytest.mark.parametrize("ws, cfg", near_repeats())
+def test_sets_that_differ_are_not_a_repeat(ws, cfg):
+    raw, _, skipped = kernel_counts(ws, cfg)
+    assert raw == simulator._run(ws, cfg)
+    assert skipped == 0
 
 
 def count_feeds(monkeypatch):
