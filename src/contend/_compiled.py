@@ -72,6 +72,6 @@ def library() -> ctypes.CDLL | None:
                                 i64, i64, i64, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr,
                                 ptr, ptr]
     lib.simcore_run.restype = i64
-    lib.simcore_bucket_sort.argtypes = [ptr, i64, i64, ctypes.c_uint64, ptr, ptr]
+    lib.simcore_bucket_sort.argtypes = [ptr, i64, i64, ctypes.c_uint64, ptr, ptr, i64, i64]
     lib.simcore_bucket_sort.restype = ctypes.c_int
     return lib

@@ -62,9 +62,38 @@
  * feed twice over (n_events >= 2 * feed_len), nothing can be skipped, and a
  * copy of the loop without the check runs.
  *
+ * Streaks.  A hit on the most recent way of its set (set[0] >> 1 == line,
+ * the set not empty; LRU stack distance 1, Mattson et al., IBM Systems
+ * Journal 1970) changes only that way's dirty bit and its thread's ready
+ * time, feed index and done count: the set keeps its order, and the
+ * controller and every other thread are left alone.  A thread alone in the
+ * hit queue after a hit has one rival, the miss queue's head m, which stays
+ * put while no one else runs.  So while the thread stays first, ready at t
+ * with t < th[m].t, or t == th[m].t and id < m (no bound when the miss
+ * queue is empty), its next entries that are such hits run back to back in
+ * one inner loop, with no queue pick, push or set shift; the counters and
+ * the labels (all 1s) are added once at the end.  A streak stops short of
+ * the thread's last event and of its feed's last entry, so that finishes
+ * and wraps, which the closed form and the repeat check count, take the
+ * full path.  Streaks rest on recency order: item 13's not-recently-used
+ * bits, which a hit sets, must re-derive the test for a hit that changes
+ * nothing else, or turn streaks off.  Item 5's miss slots (a thread that
+ * misses stays ready in the hit queue, and fills return to others) and item
+ * 1's marks (a window that starts at a thread's W-th event) must bound a
+ * streak as the last event does.  The streak check costs runs that seldom
+ * streak 10% to 57% per event (the most: the Xeon configs' solo triad,
+ * whose arrays map each index to one set, so that each of its hits is alone
+ * and none at distance 1).  So it lives in a copy of the loop of its own,
+ * run_streaks, in which every run that cannot run its feeds twice starts; a
+ * run whose window of 1024 full events brings fewer streak events than that
+ * leaves it for good, for run_plain, the loop as it was.  The bucket sorts
+ * stay (at least 1.6 streak events per full event in every window), while
+ * the t1 and Xeon runs, at most 0.71, leave after their first window; a
+ * streak event costs about two fifths of a full one.
+ *
  * Counters are per workload (wl[i] is thread i's); totals receives the
- * whole run's elapsed cycles, serviced controller lines and events skipped
- * in repeats.  labels is NULL or receives one hit flag per event, thread
+ * whole run's elapsed cycles, serviced controller lines, events skipped in
+ * repeats and events run in streaks.  labels is NULL or receives one hit flag per event, thread
  * after thread.  Returns the number of events run in closed form, or -1 when
  * memory runs out.
  */
@@ -114,16 +143,55 @@ struct run {
     int64_t lam, power, confirm;  /* wraps since saved (-1: none), Brent's power, a period to confirm */
     int64_t wrap_serviced;  /* serviced at the anchor's last wrap */
     struct snap saved;
+    /* streaks */
+    int64_t streaked, probe, window_streaked;  /* events run in streaks; full events left in
+                                                  the window, and streaked when it began */
 };
 
-enum { ENDED, CYCLIC, WRAPPED, FINISHED };  /* why run_events returned */
+enum { ENDED, CYCLIC, WRAPPED, FINISHED, PLAIN };  /* why run_events returned */
+
+/* run_streaks goes on while each window of WINDOW full events brings at
+ * least as many streak events (see Streaks above). */
+enum { WINDOW = 1024 };
+
+/* Thread id, just queued after a hit and alone in the hit queue, runs the
+ * streak of MRU hits that follows, if any: up to, not including, its last
+ * event and its feed's last entry, while it stays first in (ready time, id)
+ * order against the miss queue's head (mq, mh, mt are the loop's). */
+static inline __attribute__((always_inline)) void streak(struct run *r, int id, const int *mq,
+                                                          uint32_t mh, uint32_t mt)
+{
+    struct thread *p = r->th + id;
+    int rival = mq[mh & (r->ring - 1)];
+    int64_t until = mh == mt ? INT64_MAX : r->th[rival].t + (id < rival);
+    int64_t t = p->t, pos = p->pos, len = r->n_events[id] - 1 - p->done, k = 0;
+    if (len > r->feed_len[id] - 1 - pos) len = r->feed_len[id] - 1 - pos;
+    const uint32_t *next = r->feed[id] + pos;
+    const uint64_t base = r->base_line[id], set_mask = r->set_mask;
+    for (; k < len && t < until; k++, t += r->hit_latency) {
+        uint32_t e = next[k];
+        uint64_t line = base + (e >> 1), *set = r->ways + (line & set_mask) * (uint64_t)r->assoc;
+        /* an empty set's set[0] is 0, which names line 0 */
+        if (set[0] >> 1 != line || (line == 0 && r->fill[0] == 0)) break;
+        set[0] |= e & 1;
+    }
+    if (k) {
+        int w = r->wl[id];
+        if (r->labels) memset(r->labels + p->label_at + p->done, 1, k);
+        p->t = t, p->pos = pos + k, p->done += k;
+        r->count[0][w] += k, r->count[1][w] += k;
+        r->streaked += k;
+    }
+}
 
 /* Runs events until the run ends.  Without detect, it returns CYCLIC once
  * every unfinished thread can run its feed twice; with detect, WRAPPED after
- * the anchor wraps and FINISHED after a thread finishes.  The loop's state
- * lives in locals while it runs, as it did when the loop was all of
+ * the anchor wraps and FINISHED after a thread finishes; with streaks,
+ * PLAIN after a window with fewer streak events than full ones.  The loop's
+ * state lives in locals while it runs, as it did when the loop was all of
  * simcore_run, and goes back to r when it returns. */
-static inline __attribute__((always_inline)) int run_events(struct run *r, const int detect)
+static inline __attribute__((always_inline)) int run_events(struct run *r, const int detect,
+                                                            const int streaks)
 {
     const uint32_t *const *feed = r->feed;
     const int64_t *feed_len = r->feed_len, *n_events = r->n_events;
@@ -143,6 +211,7 @@ static inline __attribute__((always_inline)) int run_events(struct run *r, const
     int live = r->live, acyclic = r->acyclic, n_warm = r->n_warm, why = ENDED;
     int64_t warm_for = r->warm_for, mc_free = r->mc_free, last_dequeue = r->last_dequeue,
             serviced = r->serviced;
+    int64_t probe = streaks ? r->probe : 0;
     while (hh != ht || mh != mt) {
         int h = hq[hh & (ring - 1)], m = mq[mh & (ring - 1)];
         int from_hits = mh == mt || (hh != ht && (th[h].t < th[m].t
@@ -228,23 +297,34 @@ static inline __attribute__((always_inline)) int run_events(struct run *r, const
                 }
                 p->wrap_sv = serviced;
             }
+            if (streaks && ht - hh == 1) streak(r, id, mq, mh, mt);
         }
         if (detect && wrapped && id == anchor) {
             why = WRAPPED;
             break;
+        }
+        if (streaks && --probe < 0) {  /* the window has ended */
+            if (r->streaked - r->window_streaked < WINDOW) {
+                why = PLAIN;
+                break;
+            }
+            probe = WINDOW - 1;
+            r->window_streaked = r->streaked;
         }
     }
     r->hh = hh, r->ht = ht, r->mh = mh, r->mt = mt;
     r->live = live, r->acyclic = acyclic, r->n_warm = n_warm;
     r->warm_for = warm_for, r->mc_free = mc_free, r->last_dequeue = last_dequeue;
     r->serviced = serviced;
+    if (streaks) r->probe = probe;
     return why;
 }
 
 /* Each copy of the loop is a function of its own, so that the registers of
- * one are not allotted for the other. */
-static __attribute__((noinline)) int run_plain(struct run *r) { return run_events(r, 0); }
-static __attribute__((noinline)) int run_detect(struct run *r) { return run_events(r, 1); }
+ * one are not allotted for the others. */
+static __attribute__((noinline)) int run_plain(struct run *r) { return run_events(r, 0, 0); }
+static __attribute__((noinline)) int run_streaks(struct run *r) { return run_events(r, 0, 1); }
+static __attribute__((noinline)) int run_detect(struct run *r) { return run_events(r, 1, 0); }
 
 /* The j-th queued thread, the hit queue first. */
 static int queued(const struct run *r, int64_t j)
@@ -480,6 +560,7 @@ int64_t simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *f
         .hit_latency = hit_latency, .mem_latency = mem_latency, .interval = interval,
         .wb_slot = wb_slot, .count = {accesses, hits, fetched, written_back},
         .finish = finish, .labels = labels, .ring = 1, .warm_for = -1, .anchor = -1,
+        .probe = WINDOW - 1,
     };
     /* zeroed, as set[0] is read even while its set is empty; that also brings
      * the sets into the CPU caches before the loop */
@@ -500,7 +581,8 @@ int64_t simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *f
             r.acyclic += 2 * feed_len[i] > n_events[i];
         }
     }
-    int why = !ok || !r.live ? ENDED : r.acyclic ? run_plain(&r) : CYCLIC;
+    int why = !ok || !r.live ? ENDED : r.acyclic ? run_streaks(&r) : CYCLIC;
+    if (why == PLAIN) why = run_plain(&r);
     if (why == CYCLIC) ok = start_repeats(&r);
     while (ok && why != ENDED) {
         why = run_detect(&r);
@@ -525,6 +607,7 @@ int64_t simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *f
         totals[0] = elapsed;
         totals[1] = r.serviced;
         totals[2] = r.skipped;
+        totals[3] = r.streaked;
     }
     free(r.ways);
     free(r.fill);
@@ -540,18 +623,20 @@ int64_t simcore_run(int n_threads, const uint32_t *const *feed, const int64_t *f
 }
 
 /* The bucket sort of contend.patterns.BucketSort: the bucket index of each
- * of its first count keys, and with pos the stable output position.
+ * of its first count keys, and the stable output position of its first
+ * n_pos keys.
  *
  * The keys are those of CPython's random.Random(seed).randbytes(4 * count)
  * read as little-endian uint32: MT19937 (Matsumoto and Nishimura, 1998)
  * seeded by init_by_array over key[0 .. key_len), the 32-bit words of
  * abs(seed) least significant first ([0] for seed 0), then one output per
  * sort key.  Sort key i, of value v, goes to bucket[i] = (v * n_buckets) >>
- * 32.  pos is NULL, or receives pos[i], the number of sort keys before key i
- * in a sort by bucket that keeps equal buckets in key order: a counting sort
- * over n_buckets counters, which needs every key, so count must then be the
- * sort's n_keys.  Keeps no state between calls.  Returns 0, or -1 when
- * memory runs out.
+ * 32.  For i < n_pos, pos[i * pos_stride] receives the number of sort keys
+ * before key i in a sort by bucket that keeps equal buckets in key order: a
+ * counting sort over n_buckets counters, which needs every key, so with
+ * n_pos > 0 count must be the sort's n_keys.  The stride lets pos be every
+ * other word of a line feed, and bucket another part of it.  Keeps no state
+ * between calls.  Returns 0, or -1 when memory runs out.
  */
 enum { MT_N = 624, MT_M = 397 };
 
@@ -568,7 +653,8 @@ static void mt_twist(uint32_t *mt)
 }
 
 int simcore_bucket_sort(const uint32_t *key, int64_t key_len, int64_t count,
-                        uint64_t n_buckets, uint32_t *bucket, uint32_t *pos)
+                        uint64_t n_buckets, uint32_t *bucket, uint32_t *pos, int64_t n_pos,
+                        int64_t pos_stride)
 {
     uint32_t mt[MT_N];
     int64_t i = 1, j = 0, k;
@@ -597,7 +683,7 @@ int simcore_bucket_sort(const uint32_t *key, int64_t key_len, int64_t count,
             bucket[i + k] = (uint32_t)(((uint64_t)y * n_buckets) >> 32);
         }
     }
-    if (!pos) return 0;
+    if (n_pos <= 0) return 0;
     uint32_t *next = calloc(n_buckets, sizeof *next), sum = 0;
     if (!next) return -1;
     for (i = 0; i < count; i++) next[bucket[i]]++;
@@ -606,7 +692,7 @@ int simcore_bucket_sort(const uint32_t *key, int64_t key_len, int64_t count,
         next[b] = sum;
         sum += c;
     }
-    for (i = 0; i < count; i++) pos[i] = next[bucket[i]]++;
+    for (i = 0; i < n_pos; i++) pos[i * pos_stride] = next[bucket[i]]++;
     free(next);
     return 0;
 }

@@ -204,7 +204,7 @@ class BucketSort:
         32-bit draws, as uint32: randbytes lays out getrandbits(32) words
         least significant first, so a shorter draw is a prefix of a longer.
         ops() and the native kernel use these; line_feed's compiled draw
-        (_drawn_buckets) gives the same keys without them."""
+        (_draw_buckets) gives the same keys without them."""
         n = self.n_keys if count is None else count
         return np.frombuffer(random.Random(self.seed).randbytes(4 * n), "<u4")
 
@@ -227,27 +227,26 @@ class BucketSort:
 
     def line_feed(self, line_shift: int, limit: int) -> tuple[np.ndarray, int]:
         """One iteration; its 4-byte words are keys [0, n), counters
-        [n, n + n_buckets), then the output.  The buckets and positions come
-        from the compiled library (_drawn_buckets): only the buckets of the
-        keys counted, and the positions only when a permuting write is in."""
+        [n, n + n_buckets), then the output.  The compiled library
+        (_draw_buckets) writes the buckets and output positions into the
+        feed itself: only the buckets of the keys counted, and the positions
+        of the permuting writes in."""
         n, nb = self.n_keys, self.n_buckets
         total = self.iterations * self.pass_length
         length = min(self.pass_length, limit, total)
         perm = 2 * n + nb
-        buckets, pos = _drawn_buckets(self, min(max(length - n, 0), n), length > perm)
         feed = np.empty(length, np.uint32)
+        counted, placed = feed[n:2 * n], feed[perm + 1::2]
+        _draw_buckets(self, counted, placed)
 
-        def put(view, first, values=None):
-            if values is None:
-                view[:] = np.arange(first, first + len(view), dtype=np.uint32)
-            else:
-                np.add(values[:len(view)], first, out=view)
+        def put(view, first):
+            view[:] = np.arange(first, first + len(view), dtype=np.uint32)
 
         put(feed[:n], 0)
-        put(feed[n:2 * n], n, buckets)
+        counted += n
         put(feed[2 * n:perm], n)
         put(feed[perm::2], 0)
-        put(feed[perm + 1::2], n + nb, pos)
+        placed += n + nb
         _words_to_lines(feed, self.access_bytes, line_shift)
         feed[n:perm] |= 1
         feed[perm + 1::2] |= 1
@@ -418,7 +417,7 @@ def _buckets(keys: np.ndarray, n_buckets: int) -> np.ndarray:
 
 def _bucket_positions(p: BucketSort) -> tuple[np.ndarray, np.ndarray]:
     """Bucket index and stable output position of every key, as uint32, for
-    ops(); _drawn_buckets gives the same for line_feed.
+    ops(); _draw_buckets gives the same for line_feed.
 
     Linear in n_keys up to 65536 buckets: the stable sort runs on the bucket
     indices cast to the narrowest unsigned type that holds n_buckets - 1,
@@ -431,24 +430,28 @@ def _bucket_positions(p: BucketSort) -> tuple[np.ndarray, np.ndarray]:
     return buckets, pos
 
 
-def _drawn_buckets(p: BucketSort, count: int, positions: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket index of each of the first count keys and, with positions
-    (count must then be n_keys), stable output position of each key, as
-    uint32: _buckets and _bucket_positions from the compiled library, which
-    draws the keys as random.Random(seed) does and places them by a counting
-    sort.  Without positions nothing of n_buckets' size is allocated."""
+def _draw_buckets(p: BucketSort, bucket: np.ndarray, pos: np.ndarray) -> None:
+    """In place, as _buckets and _bucket_positions give them: bucket[i] is
+    the bucket index of key i, for i < len(bucket), and pos[i] the stable
+    output position of key i, for i < len(pos); a non-empty pos needs every
+    key's bucket, so len(bucket) must then be n_keys.  Both are uint32
+    views, bucket contiguous and pos of any stride in whole words, such as
+    every other word of a line feed.  The compiled library draws the keys as
+    random.Random(seed) does and places them by a counting sort; with pos
+    empty, nothing of n_buckets' size is allocated."""
     lib = _compiled.library()
     if lib is None:
         raise PatternError("a bucket sort's line feed needs the compiled library")
+    if (bucket.dtype != np.uint32 or pos.dtype != np.uint32 or not bucket.flags.c_contiguous
+            or pos.strides[0] % 4 or len(pos) and len(bucket) != p.n_keys):
+        raise ValueError("unusable bucket or position view")
     seed = abs(p.seed)   # random.seed takes the words of abs(seed), least significant first
     words = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"),
                           "<u4").astype(np.uint32, copy=False)
-    buckets = np.empty(count, np.uint32)
-    pos = np.empty(count if positions else 0, np.uint32)
-    if lib.simcore_bucket_sort(words.ctypes.data, len(words), count, p.n_buckets,
-                               buckets.ctypes.data, pos.ctypes.data if positions else None) < 0:
+    if lib.simcore_bucket_sort(words.ctypes.data, len(words), len(bucket), p.n_buckets,
+                               bucket.ctypes.data, pos.ctypes.data, len(pos),
+                               pos.strides[0] // 4) < 0:
         raise MemoryError("simcore_bucket_sort could not allocate its bucket counters")
-    return buckets, pos
 
 
 def _words_to_lines(feed: np.ndarray, word_bytes: int, line_shift: int) -> None:

@@ -27,8 +27,14 @@ its feed twice over, it compares the whole state at wraps of one thread's
 feed (feed indices, queues, ready times and controller relative to that
 thread's, and every set the feeds map to), and when the state has come back
 with every time later by the same delta, it adds whole periods at once, up
-to the last one before some thread's final event.  _run simulates every
-event; both give the same result.
+to the last one before some thread's final event.  And it runs streaks: a
+hit on the most recent way of its set changes only that way's dirty bit and
+its thread's time and feed index, so a thread alone among those ready after
+a hit, and still first in (time, id) order against the miss queue's head,
+runs its next such hits in one inner loop, short of its last event and of
+its feed's last entry; a run that streaks too little goes back to the loop
+without streaks for good.  _run simulates every event; both give the same
+result.
 
 The runs behind one result (a co-run and the solo runs that give its
 baselines, or every run of an interference report) are independent, so
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import collections
 import ctypes
+import functools
 import heapq
 import os
 import sys
@@ -311,7 +318,8 @@ def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
             wl.append(wi)
     n_wl = len(workloads)
     counters = np.zeros((5, n_wl), np.int64)
-    totals = np.zeros(3, np.int64)   # elapsed, serviced, events skipped in repeats
+    # elapsed, serviced, events skipped in repeats, events run in streaks
+    totals = np.zeros(4, np.int64)
     labels = np.zeros(sum(n_events), np.uint8) if cfg.record_hit_miss else None
     arrays = [np.array([f.ctypes.data for f in feeds], np.uintp),
               np.array([len(f) for f in feeds], np.int64), np.array(starts, np.int64),
@@ -341,12 +349,19 @@ def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
     }
 
 
-def _this_cpu() -> int | None:
-    """The CPU the calling thread runs on, or None where libc cannot say."""
+@functools.cache
+def _sched_getcpu():
+    """libc's sched_getcpu, loaded once, or None where libc has none."""
     try:
-        cpu = ctypes.CDLL(None).sched_getcpu()
+        return ctypes.CDLL(None).sched_getcpu
     except (AttributeError, OSError):
         return None
+
+
+def _this_cpu() -> int | None:
+    """The CPU the calling thread runs on, or None where libc cannot say."""
+    getcpu = _sched_getcpu()
+    cpu = getcpu() if getcpu else -1
     return cpu if cpu >= 0 else None
 
 

@@ -17,7 +17,7 @@ from contend.patterns import (
     ThreadSpec,
     WorkloadSpec,
     _bucket_positions,
-    _drawn_buckets,
+    _draw_buckets,
     footprint,
     gen_bucket_sort,
     gen_offchip_antagonist,
@@ -237,22 +237,23 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler"
 @needs_cc
 def test_bucket_sort_feed_draws_only_the_keys_it_needs(monkeypatch):
     # a feed that ends before the permute phase draws the keys it counts and
-    # places none; a longer one draws every key to place them
+    # places none; a longer one draws every key and places those whose
+    # permuting write it holds
     p = BucketSort(50, 7, iterations=2, seed=9)
     full, _ = p.line_feed(2, p.pass_length)
     draws = []
 
-    def spy(p, count, positions):
-        out = _drawn_buckets(p, count, positions)
-        draws.append((len(out[0]), len(out[1])))
-        return out
-    monkeypatch.setattr(patterns, "_drawn_buckets", spy)
+    def spy(p, bucket, pos):
+        _draw_buckets(p, bucket, pos)
+        draws.append((len(bucket), len(pos)))
+    monkeypatch.setattr(patterns, "_draw_buckets", spy)
     for limit in range(p.pass_length + 3):
         draws.clear()
         feed, n = p.line_feed(2, limit)
         assert n == limit
         assert feed.tolist() == full[:limit].tolist()
-        placed = 50 if limit > 2 * 50 + 7 else 0
+        # the permute phase starts at 2 * 50 + 7, a read then a write per key
+        placed = max(min(limit, p.pass_length) - (2 * 50 + 7), 0) // 2
         assert draws == [(min(max(limit - 50, 0), 50), placed)]
 
 
@@ -267,13 +268,19 @@ def test_compiled_draw_matches_random(seed):
         pos = [0] * n_keys
         for at, i in enumerate(sorted(range(n_keys), key=bucket.__getitem__)):
             pos[i] = at
-        got_buckets, got_pos = _drawn_buckets(p, n_keys, True)
+        got_buckets, got_pos = np.empty(n_keys, np.uint32), np.empty(n_keys, np.uint32)
+        _draw_buckets(p, got_buckets, got_pos)
         assert got_buckets.tolist() == bucket
         assert got_pos.tolist() == pos
+        # every other word, as in a line feed, and only the first positions
+        words = np.zeros(n_keys, np.uint32)
+        _draw_buckets(p, got_buckets, words[1::2])
+        assert words[1::2].tolist() == pos[:n_keys // 2]
+        assert not words[::2].any()
         # the count phase alone: a prefix of the buckets, no positions
-        got_buckets, got_pos = _drawn_buckets(p, n_keys // 3, False)
+        got_buckets = np.empty(n_keys // 3, np.uint32)
+        _draw_buckets(p, got_buckets, np.empty(0, np.uint32))
         assert got_buckets.tolist() == bucket[:n_keys // 3]
-        assert len(got_pos) == 0
 
 
 def test_bucket_sort_seed_determinism():

@@ -2,6 +2,7 @@ import ctypes
 import os
 import random
 import shutil
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -432,7 +433,14 @@ def sim_runs(draw):
         record_hit_miss=True,
     )
     n = draw(st.integers(1, 3))
-    return pack([draw(workloads(f"w{i}", short)) for i in range(n)], 256), cfg
+    ws = [draw(workloads(f"w{i}", short)) for i in range(n)]
+    # a lone first thread, a sort whose feed runs at most once: the compiled
+    # loop runs its hits in streaks while the others wait on misses
+    if draw(st.booleans()):
+        sort = BucketSort(draw(st.integers(8, 80)), draw(st.integers(1, 16)), 1,
+                          draw(st.integers(0, 2**32 - 1)))
+        ws[0] = WorkloadSpec("w0", (ThreadSpec(sort),))
+    return pack(ws, 256), cfg
 
 
 HAVE_CC = shutil.which("cc") is not None
@@ -447,6 +455,15 @@ def test_compiled_kernel_loads():
     assert draw.argtypes and draw.restype is not None
 
 
+@needs_cc
+def test_simcore_builds_without_warnings(tmp_path):
+    source = _compiled._SIMCORE_SOURCE
+    build = subprocess.run([shutil.which("cc"), *_compiled._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                            "-o", str(tmp_path / "simcore.so"), str(source)],
+                           capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+
+
 def run_compiled(ws, cfg, kernel=None):
     """_run_compiled on ws with the line feeds that _run_many builds."""
     feed_of = simulator._plan_feeds(dict.fromkeys(t.pattern for w in ws for t in w.threads),
@@ -455,13 +472,14 @@ def run_compiled(ws, cfg, kernel=None):
 
 
 def kernel_counts(ws, cfg):
-    """run_compiled's result, the events the loop ran in closed form, and the
-    events it skipped as repeats (totals[2], after elapsed and serviced)."""
+    """run_compiled's result, the events the loop ran in closed form, the
+    events it skipped as repeats and those it ran in streaks (totals[2] and
+    totals[3], after elapsed and serviced)."""
     kernel, counts = simulator._simcore(), []
 
     def recording(*args):
         closed = kernel(*args)
-        counts.append((closed, (ctypes.c_int64 * 3).from_address(args[-2])[2]))
+        counts.append((closed, *(ctypes.c_int64 * 4).from_address(args[-2])[2:]))
         return closed
 
     return (run_compiled(ws, cfg, recording), *counts[0])
@@ -543,7 +561,7 @@ def warm_runs():
 @pytest.mark.parametrize("ws, budget, holds", warm_runs())
 def test_closed_form_matches_run(ws, budget, holds):
     cfg = toy_cfg(per_thread_event_budget=budget, record_hit_miss=True)
-    raw, closed, _ = kernel_counts(ws, cfg)
+    raw, closed, _, _ = kernel_counts(ws, cfg)
     assert raw == simulator._run(ws, cfg)
     assert closed > 0 and holds(raw)
 
@@ -568,7 +586,7 @@ def cold_runs():
 @pytest.mark.parametrize("ws, holds", cold_runs())
 def test_closed_form_waits_for_every_thread(ws, holds):
     cfg = toy_cfg(per_thread_event_budget=500, record_hit_miss=True)
-    raw, closed, _ = kernel_counts(ws, cfg)
+    raw, closed, _, _ = kernel_counts(ws, cfg)
     assert raw == simulator._run(ws, cfg)
     assert closed == 0 and holds(raw)
 
@@ -611,7 +629,7 @@ def repeating_runs():
 @needs_cc
 @pytest.mark.parametrize("ws, cfg, holds", repeating_runs())
 def test_repeats_are_skipped(ws, cfg, holds):
-    raw, _, skipped = kernel_counts(ws, cfg)
+    raw, _, skipped, _ = kernel_counts(ws, cfg)
     assert raw == simulator._run(ws, cfg)
     assert skipped > 0 and holds(raw)
 
@@ -643,9 +661,54 @@ def near_repeats():
 @needs_cc
 @pytest.mark.parametrize("ws, cfg", near_repeats())
 def test_sets_that_differ_are_not_a_repeat(ws, cfg):
-    raw, _, skipped = kernel_counts(ws, cfg)
+    raw, _, skipped, _ = kernel_counts(ws, cfg)
     assert raw == simulator._run(ws, cfg)
     assert skipped == 0
+
+
+def streak_runs():
+    sort = gen_bucket_sort(200, 8, iterations=1, seed=3)
+    walker = gen_onchip_antagonist(TOY, 1)
+    # the keys are read 8 to a line: after each line's miss, 7 MRU hits; the
+    # sort fits in the cache, so nothing dirty falls off
+    yield pytest.param([sort], toy_cfg(per_thread_event_budget=1000, record_hit_miss=True),
+                       lambda raw, closed: raw["written_back"] == [0], id="solo-sort")
+    # the sort streaks while the walker waits on its misses
+    yield pytest.param(pack([sort, walker], 4096),
+                       toy_cfg(per_thread_event_budget=900, record_hit_miss=True),
+                       lambda raw, closed: raw["finish"][0] < raw["finish"][1], id="sort-and-walker")
+    # with mem_latency == hit_latency, the sort after a hit and the walker
+    # back from a miss are often ready in the same cycle: the sort may run
+    # such an event in a streak only when its id is the lower
+    for first, ws in (("sort", [sort, walker]), ("walker", [walker, sort])):
+        yield pytest.param(pack(ws, 4096),
+                           toy_cfg(hit_latency=4, mem_latency=4, mc_service_interval=8,
+                                   per_thread_event_budget=900, record_hit_miss=True),
+                           lambda raw, closed: 0 < sum(raw["hits"]) < sum(raw["accesses"]),
+                           id=f"latencies-tie-{first}-first")
+    # a walk of 8 steps in one line, 14 events: after its miss and one hit,
+    # a streak of 5 ends short of the feed's last entry, which wraps, and a
+    # streak of 5 more ends one short of its last event
+    one_line = WorkloadSpec("one-line", (ThreadSpec(StridedWalk(32, 4)),))
+    yield pytest.param([one_line], toy_cfg(per_thread_event_budget=14, record_hit_miss=True),
+                       lambda raw, closed: raw["accesses"] == [14] and raw["fetched"] == [1],
+                       id="short-of-the-last-event")
+    # the same walk streaks up to each wrap of its feed while a short sort
+    # waits on misses; once the sort has finished, the walk is warm and the
+    # closed form ends the run
+    yield pytest.param(pack([WorkloadSpec("sort", (ThreadSpec(BucketSort(60, 4, 1, 5)),)),
+                             one_line], 4096),
+                       toy_cfg(per_thread_event_budget=1500, record_hit_miss=True),
+                       lambda raw, closed: closed > 0 and raw["finish"][0] < raw["finish"][1],
+                       id="short-of-a-wrap")
+
+
+@needs_cc
+@pytest.mark.parametrize("ws, cfg, holds", streak_runs())
+def test_streaks_match_run(ws, cfg, holds):
+    raw, closed, _, streaks = kernel_counts(ws, cfg)
+    assert raw == simulator._run(ws, cfg)
+    assert streaks > 0 and holds(raw, closed)
 
 
 def count_feeds(monkeypatch):
