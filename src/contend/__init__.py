@@ -28,7 +28,6 @@ from .patterns import (
     StridedWalk,
     ThreadSpec,
     WorkloadSpec,
-    footprint,
     gen_bucket_sort,
     gen_offchip_antagonist,
     gen_onchip_antagonist,
@@ -47,7 +46,6 @@ from .simulator import (
     SimulationError,
     WorkloadMetrics,
     interference_report,
-    lru_reference,
     simulate,
 )
 from .native import (

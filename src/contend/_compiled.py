@@ -3,7 +3,8 @@
 
 It is built with the system C compiler on first use and cached under
 $XDG_CACHE_HOME/contend (default ~/.cache/contend); library() loads it once
-per process, with every function typed, or says on stderr why it cannot.
+per process, with every function typed, or raises CompilerError saying why
+it cannot.  Every simulation needs it; nothing else does.
 """
 
 from __future__ import annotations
@@ -15,12 +16,16 @@ import hashlib
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
 _SIMCORE_SOURCE = Path(__file__).with_name("_simcore.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
+
+
+class CompilerError(RuntimeError):
+    """Raised when the library cannot be built or loaded: no C compiler
+    (cc), or a failed build."""
 
 
 def _compile_simcore(cc: str, out_dir: str) -> str:
@@ -44,14 +49,13 @@ def _compile_simcore(cc: str, out_dir: str) -> str:
 
 
 @functools.cache
-def library() -> ctypes.CDLL | None:
-    """The compiled library with its functions typed, or None (after one
-    line on stderr) when it cannot be built."""
+def library() -> ctypes.CDLL:
+    """The compiled library with its functions typed; raises CompilerError
+    when it cannot be built."""
     cc = shutil.which("cc")
     if cc is None:
-        print("contend: no C compiler (cc) found; simulating with the slower "
-              "pure-Python loop", file=sys.stderr)
-        return None
+        raise CompilerError("no C compiler (cc) found; simulating needs one "
+                            f"to build {_SIMCORE_SOURCE.name}")
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
                          or os.path.expanduser("~/.cache"), "contend")
     try:
@@ -64,9 +68,7 @@ def library() -> ctypes.CDLL | None:
             path = _compile_simcore(cc, private)
         lib = ctypes.CDLL(path)
     except (OSError, subprocess.CalledProcessError) as e:
-        print(f"contend: cannot build {_SIMCORE_SOURCE.name} ({e}); simulating "
-              f"with the slower pure-Python loop", file=sys.stderr)
-        return None
+        raise CompilerError(f"cannot build {_SIMCORE_SOURCE.name} with {cc} ({e})") from e
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.simcore_run.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_uint64,
                                 i64, i64, i64, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr,

@@ -1,5 +1,5 @@
 /* Compiled event loop of contend.simulator: the same timing model as the
- * pure-Python _run, which stays the reference it is tested against.
+ * pure-Python _run in tests/oracle.py, the reference it is tested against.
  *
  * Thread i issues n_events[i] accesses, cycling through its line feed
  * feed[i][0 .. feed_len[i]) from feed[i][start[i]] on; entry e names line

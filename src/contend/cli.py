@@ -7,7 +7,8 @@ fixed mode.  Simulated outputs contain no timestamps or environment data, so
 repeat runs of the same experiment produce byte-identical files.
 
 Exit codes: 0 success, 2 bad arguments or invalid experiment file, 3 failed
-host hardware check in native mode (unless --skip-hw-checks).
+host hardware check in native mode (unless --skip-hw-checks), 3 no usable C
+compiler for a simulation.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 
+from ._compiled import CompilerError
 from .experiment import (
     ConfigError,
     ExperimentConfig,
@@ -45,7 +47,7 @@ NATIVE_HEADER = (
 )
 
 EXIT_CONFIG = 2
-EXIT_HWCHECK = 3
+EXIT_HOST = 3   # the host cannot run what was asked: hardware check, or no compiler
 
 
 def _reseed(w: WorkloadSpec, seed: int) -> WorkloadSpec:
@@ -225,7 +227,7 @@ def _run_native(cfg, args) -> int:
             print(f"hardware check: {p}", file=sys.stderr)
         if not args.skip_hw_checks:
             print("refusing native run (use --skip-hw-checks to force)", file=sys.stderr)
-            return EXIT_HWCHECK
+            return EXIT_HOST
         print("hardware checks SKIPPED; native numbers may be meaningless",
               file=sys.stderr)
     if args.duration is not None:
@@ -323,6 +325,9 @@ def main(argv=None) -> int:
         # so point it at /dev/null for the interpreter's exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except CompilerError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_HOST
     except (ConfigError, GeometryError, NativeError, PatternError, SimulationError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)

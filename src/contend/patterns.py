@@ -30,7 +30,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from . import _compiled
-from .geometry import CacheGeometry, _check_json, bank_of, conflict_stride, set_of
+from .geometry import CacheGeometry, _check_json, conflict_stride
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -440,8 +440,6 @@ def _draw_buckets(p: BucketSort, bucket: np.ndarray, pos: np.ndarray) -> None:
     random.Random(seed) does and places them by a counting sort; with pos
     empty, nothing of n_buckets' size is allocated."""
     lib = _compiled.library()
-    if lib is None:
-        raise PatternError("a bucket sort's line feed needs the compiled library")
     if (bucket.dtype != np.uint32 or pos.dtype != np.uint32 or not bucket.flags.c_contiguous
             or pos.strides[0] % 4 or len(pos) and len(bucket) != p.n_keys):
         raise ValueError("unusable bucket or position view")
@@ -484,16 +482,6 @@ def iter_ops(w: WorkloadSpec, thread_idx: int, limit: int) -> Iterator[tuple[str
         raise PatternError("limit must be >= 0")
     t = w.threads[thread_idx]
     return islice(t.pattern.ops(t.arena_base), limit)
-
-
-def footprint(w: WorkloadSpec, g: CacheGeometry) -> int:
-    """Distinct (bank, set) pairs touched by one full pass of every thread."""
-    validate_workloads([w], g.line_size)
-    pairs = set()
-    for i, t in enumerate(w.threads):
-        for _, addr in iter_ops(w, i, t.pattern.pass_length):
-            pairs.add((bank_of(addr, g), set_of(addr, g)))
-    return len(pairs)
 
 
 # ---------------------------------------------------------------------------

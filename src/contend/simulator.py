@@ -12,29 +12,29 @@ lowest (workload, thread) id, so runs are bit-deterministic.
 
 simulate runs the event loop compiled from _simcore.c, built with the
 system C compiler on first use and cached under $XDG_CACHE_HOME/contend
-(default ~/.cache/contend) by _compiled.  Without a compiler it falls back
-to _run, the pure-Python loop that is also the compiled loop's reference.
-A bucket sort's line feed takes its keys' buckets and output positions
-from the same library, which draws the keys as random.Random(seed) does
-and places them by a counting sort; _run reads ops(), whose keys come from
-random itself.  The compiled
-loop ends a run in closed form once no access can miss again: when every
-unfinished thread has run a whole cycle of its feed, all hits, with no miss
-anywhere since, every line left to touch is cached, and a hit evicts nothing
-and leaves the controller alone, so the remaining events are added as hits
-in one step.  It also skips repeats: once every unfinished thread can run
-its feed twice over, it compares the whole state at wraps of one thread's
-feed (feed indices, queues, ready times and controller relative to that
-thread's, and every set the feeds map to), and when the state has come back
-with every time later by the same delta, it adds whole periods at once, up
-to the last one before some thread's final event.  And it runs streaks: a
-hit on the most recent way of its set changes only that way's dirty bit and
-its thread's time and feed index, so a thread alone among those ready after
-a hit, and still first in (time, id) order against the miss queue's head,
-runs its next such hits in one inner loop, short of its last event and of
-its feed's last entry; a run that streaks too little goes back to the loop
-without streaks for good.  _run simulates every event; both give the same
-result.
+(default ~/.cache/contend) by _compiled; without a compiler, or when the
+build fails, it raises _compiled.CompilerError.  The pure-Python _run in
+tests/oracle.py simulates every event, and the tests hold the compiled loop
+to it.  A bucket sort's line feed takes its keys' buckets and output
+positions from the same library, which draws the keys as
+random.Random(seed) does and places them by a counting sort; _run reads
+ops(), whose keys come from random itself.  The loop ends a run in closed
+form once no access can miss again: when every unfinished thread has run a
+whole cycle of its feed, all hits, with no miss anywhere since, every line
+left to touch is cached, and a hit evicts nothing and leaves the controller
+alone, so the remaining events are added as hits in one step.  It also
+skips repeats: once every unfinished thread can run its feed twice over, it
+compares the whole state at wraps of one thread's feed (feed indices,
+queues, ready times and controller relative to that thread's, and every set
+the feeds map to), and when the state has come back with every time later
+by the same delta, it adds whole periods at once, up to the last one before
+some thread's final event.  And it runs streaks: a hit on the most recent
+way of its set changes only that way's dirty bit and its thread's time and
+feed index, so a thread alone among those ready after a hit, and still
+first in (time, id) order against the miss queue's head, runs its next such
+hits in one inner loop, short of its last event and of its feed's last
+entry; a run that streaks too little goes back to the loop without streaks
+for good.  Every result is the one _run gives.
 
 The runs behind one result (a co-run and the solo runs that give its
 baselines, or every run of an interference report) are independent, so
@@ -49,7 +49,6 @@ from __future__ import annotations
 import collections
 import ctypes
 import functools
-import heapq
 import os
 import sys
 import threading
@@ -58,9 +57,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _compiled
-from .geometry import CacheGeometry, bank_of, set_of, validate_geometry
+from .geometry import CacheGeometry, validate_geometry
 from .native import available_cpus
-from .patterns import OP_MIXES, StridedWalk, WorkloadSpec, iter_ops, validate_workloads
+from .patterns import OP_MIXES, StridedWalk, WorkloadSpec, validate_workloads
 
 # a line feed entry holds line << 1 | is_write in 32 bits
 MAX_ARENA_LINES = 1 << 31
@@ -135,7 +134,10 @@ class LruBankedCache:
     """Functional hit/miss state of the shared cache (no timing).
 
     One dict per (bank, set); insertion order is recency order, oldest first.
-    Values are dirty flags.
+    Values are dirty flags.  The simulator does not use it: the oracle _run
+    in tests/oracle.py does, and perfbench times it, so it stays here, with
+    iter_ops and the patterns' ops(), until the benchmark stops timing them
+    (ROADMAP items 3 and 4).
     """
 
     __slots__ = ("sets", "assoc", "_line_shift", "_set_mask")
@@ -175,89 +177,10 @@ def _check_placement(workloads: list[WorkloadSpec], g: CacheGeometry) -> None:
                 )
 
 
-def _run(workloads: list[WorkloadSpec], cfg: SimConfig) -> dict:
-    """One raw timed run; returns per-workload counters and timings."""
-    g = cfg.geometry
-    _check_placement(workloads, g)
-
-    cache = LruBankedCache(g)
-    hit_latency = cfg.hit_latency
-    mem_latency = cfg.mem_latency
-    interval = cfg.mc_service_interval
-    wb_slot = cfg.writeback_counts_as_slot
-    budget = cfg.per_thread_event_budget
-    record = cfg.record_hit_miss
-
-    n_wl = len(workloads)
-    accesses = [0] * n_wl
-    hits = [0] * n_wl
-    fetched = [0] * n_wl
-    written_back = [0] * n_wl
-    finish = [0] * n_wl
-    labels = {w.name: [[] for _ in w.threads] for w in workloads} if record else {}
-
-    iters = []
-    ready = []
-    for wi, w in enumerate(workloads):
-        for ti in range(len(w.threads)):
-            iters.append(iter_ops(w, ti, budget))
-            heapq.heappush(ready, (0, wi, ti, len(iters) - 1))
-
-    mc_free = 0
-    mc_serviced = 0
-    last_dequeue = 0
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    cache_access = cache.access
-
-    while ready:
-        t, wi, ti, flat = heappop(ready)
-        try:
-            op, addr = next(iters[flat])
-        except StopIteration:
-            if t > finish[wi]:
-                finish[wi] = t
-            continue
-        accesses[wi] += 1
-        hit, wrote_back = cache_access(addr, op == "w")
-        if record:
-            labels[workloads[wi].name][ti].append(hit)
-        if hit:
-            hits[wi] += 1
-            next_t = t + hit_latency
-        else:
-            dq = mc_free if mc_free > t else t
-            mc_free = dq + interval
-            last_dequeue = dq
-            mc_serviced += 1
-            fetched[wi] += 1
-            next_t = dq + mem_latency
-            if wrote_back:
-                written_back[wi] += 1
-                if wb_slot:
-                    last_dequeue = mc_free
-                    mc_free += interval
-                    mc_serviced += 1
-        heappush(ready, (next_t, wi, ti, flat))
-
-    elapsed = max(finish + [last_dequeue])
-    return {
-        "accesses": accesses,
-        "hits": hits,
-        "fetched": fetched,
-        "written_back": written_back,
-        "finish": finish,
-        "elapsed": elapsed,
-        "mc_serviced": mc_serviced,
-        "labels": labels,
-    }
-
-
 def _simcore():
-    """The compiled simcore_run, or None (after one line on stderr) when it
-    cannot be built."""
-    lib = _compiled.library()
-    return None if lib is None else lib.simcore_run
+    """The compiled simcore_run; raises _compiled.CompilerError when the
+    library cannot be built."""
+    return _compiled.library().simcore_run
 
 
 def _line_feed(pattern, line_shift: int, limit: int, starts=(0,)) -> tuple[np.ndarray, int]:
@@ -302,9 +225,10 @@ def _plan_feeds(patterns, line_shift: int, budget: int) -> dict:
 
 def _run_compiled(kernel, workloads: list[WorkloadSpec], cfg: SimConfig,
                   feed_of: dict) -> dict:
-    """_run's result from the compiled loop, for workloads whose placement
-    _run_many has checked; feed_of maps each of their patterns to its
-    (line feed, events, start index) at cfg."""
+    """The raw result of one run from the compiled loop, as the oracle _run
+    gives it, for workloads whose placement _run_many has checked; feed_of
+    maps each of their patterns to its (line feed, events, start index) at
+    cfg."""
     g = cfg.geometry
     line_shift = g.line_shift
     feeds, starts, n_events, base_line, wl = [], [], [], [], []
@@ -410,7 +334,7 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
                               f"{MAX_PLAN_EVENTS} events and {MAX_FEED_BYTES} bytes")
     if sum(events) > ESTIMATE_EVENTS:
         print(f"contend: simulating {plan}", file=sys.stderr)
-    feed_of = _plan_feeds(patterns, g.line_shift, budget) if kernel else {}
+    feed_of = _plan_feeds(patterns, g.line_shift, budget)
 
     raws, errors = [None] * len(runs), {}
     # longest first; sorted is stable, so equal runs keep their order
@@ -418,8 +342,7 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
 
     def run(i):
         try:
-            raws[i] = (_run_compiled(kernel, runs[i], cfg, feed_of) if kernel
-                       else _run(runs[i], cfg))
+            raws[i] = _run_compiled(kernel, runs[i], cfg, feed_of)
         except Exception as e:   # a thread's own exception would be lost
             errors[i] = e
             todo.clear()
@@ -435,7 +358,7 @@ def _run_many(runs: list[list[WorkloadSpec]], cfg: SimConfig) -> list[dict]:
             run(i)
 
     mask = available_cpus()
-    n_workers = min(len(mask), len(runs)) if kernel else 1
+    n_workers = min(len(mask), len(runs))
     away = mask - {_this_cpu()} if n_workers > 1 else None
     helpers = [threading.Thread(target=work, args=(away,)) for _ in range(n_workers - 1)]
     try:
@@ -548,27 +471,3 @@ def interference_report(
         )
     return rows
 
-
-def lru_reference(trace, g: CacheGeometry) -> list[bool]:
-    """Brute-force per-set recency-list LRU oracle; True means hit.
-
-    Takes (op, addr) pairs.  Kept deliberately naive and independent of
-    LruBankedCache: plain lists searched linearly.
-    """
-    validate_geometry(g)
-    recency: dict[tuple[int, int], list[int]] = {}
-    labels = []
-    for _, addr in trace:
-        key = (bank_of(addr, g), set_of(addr, g))
-        line = addr // g.line_size
-        lst = recency.setdefault(key, [])
-        if line in lst:
-            lst.remove(line)
-            lst.append(line)
-            labels.append(True)
-        else:
-            if len(lst) == g.associativity:
-                lst.pop(0)
-            lst.append(line)
-            labels.append(False)
-    return labels

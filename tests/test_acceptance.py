@@ -35,9 +35,9 @@ from contend.simulator import (
     LruBankedCache,
     SimConfig,
     interference_report,
-    lru_reference,
     simulate,
 )
+from oracle import lru_reference
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

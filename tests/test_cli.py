@@ -1,11 +1,12 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from contend import simulator
+from contend import _compiled, simulator
 from contend.cli import main
 from contend.experiment import (
     ConfigError,
@@ -332,7 +333,7 @@ def test_runaway_config_refused_before_any_loop(tmp_path, capsys, monkeypatch,
     def never(*args):
         raise AssertionError("a runaway config reached a feed or a loop")
 
-    for name in ("_line_feed", "_run_compiled", "_run"):
+    for name in ("_line_feed", "_run_compiled"):
         monkeypatch.setattr(simulator, name, never)
     p = tmp_path / "runaway.json"
     p.write_text(json.dumps(toy_config_dict(
@@ -670,3 +671,46 @@ def test_native_runs_what_sim_accepts(tmp_path, capsys):
     assert main(["native", str(p), "--skip-hw-checks", "--duration", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "primary@harm.offchip," in out
+
+
+@pytest.fixture
+def cc_is(monkeypatch):
+    """Sets the path shutil.which finds for cc (None: no compiler), and has
+    the compiled library built afresh."""
+    def set_cc(path):
+        monkeypatch.setattr(shutil, "which", lambda name: path)
+        _compiled.library.cache_clear()
+    yield set_cc
+    _compiled.library.cache_clear()
+
+
+@pytest.mark.parametrize("cc", ["none", "failing"])
+def test_simulating_without_a_usable_compiler_exits_3(tmp_path, monkeypatch, capsys, cc_is, cc):
+    if cc == "failing":
+        failing = tmp_path / "cc"
+        failing.write_text("#!/bin/sh\nexit 1\n")
+        failing.chmod(0o755)
+        # an empty cache: a library built before would load without cc
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        cc_is(str(failing))
+    else:
+        cc_is(None)
+    out = tmp_path / "out"
+    # native's checks skipped: only the missing compiler can give exit 3
+    for argv in (["sim", TOY_DEMO], ["run", TOY_DEMO, "--mode", "sim"],
+                 ["run", TOY_DEMO, "--mode", "both", "--skip-hw-checks", "--duration", "0.05"]):
+        assert main(["--out", str(out), *argv]) == 3, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "cc" in err[0], err
+        assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_commands_that_do_not_simulate_need_no_compiler(tmp_path, capsys, cc_is):
+    cc_is(None)
+    sort = tmp_path / "sort.json"
+    sort.write_text(json.dumps(toy_config_dict(
+        primary={"generator": "bucketsort", "n_keys": 64, "n_buckets": 4, "seed": 1})))
+    for argv in (["gen", TOY_DEMO, "--limit", "5"], ["gen", str(sort), "--limit", "5"],
+                 ["emit-config", TOY_DEMO], ["preset", "t1"],
+                 ["native", TOY_DEMO, "--skip-hw-checks", "--duration", "0.05"]):
+        assert main(argv) == 0, argv

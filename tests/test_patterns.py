@@ -1,6 +1,5 @@
 import io
 import random
-import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +17,6 @@ from contend.patterns import (
     WorkloadSpec,
     _bucket_positions,
     _draw_buckets,
-    footprint,
     gen_bucket_sort,
     gen_offchip_antagonist,
     gen_onchip_antagonist,
@@ -30,6 +28,7 @@ from contend.patterns import (
     workload_to_dict,
     write_trace_csv,
 )
+from oracle import footprint, needs_cc
 
 MIB = 1024 * 1024
 
@@ -229,9 +228,6 @@ def test_bucket_sort_matches_reference():
     # one bucket: the stable sort keeps every key where it is
     _, pos = _bucket_positions(BucketSort(300, 1, seed=2))
     assert pos.tolist() == list(range(300))
-
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 @needs_cc

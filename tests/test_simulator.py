@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from contend import _compiled, simulator
 from contend.geometry import CacheGeometry, conflict_stride, preset
 from contend.patterns import (
@@ -34,9 +35,9 @@ from contend.simulator import (
     SimConfig,
     SimulationError,
     interference_report,
-    lru_reference,
     simulate,
 )
+from oracle import HAVE_CC, lru_reference, needs_cc
 
 TOY = preset("toy")
 
@@ -362,7 +363,7 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# compiled event loop against the pure-Python _run
+# compiled event loop against the oracle _run
 
 
 @st.composite
@@ -443,16 +444,12 @@ def sim_runs(draw):
     return pack(ws, 256), cfg
 
 
-HAVE_CC = shutil.which("cc") is not None
-needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
-
-
 @needs_cc
 def test_compiled_kernel_loads():
-    # with a compiler present, a broken build must not hide behind the fallback
-    assert simulator._simcore() is not None
-    draw = _compiled.library().simcore_bucket_sort
-    assert draw.argtypes and draw.restype is not None
+    lib = _compiled.library()
+    for fn in (lib.simcore_run, lib.simcore_bucket_sort):
+        assert fn.argtypes and fn.restype is not None
+    assert simulator._simcore() == lib.simcore_run
 
 
 @needs_cc
@@ -490,7 +487,10 @@ def kernel_counts(ws, cfg):
 @given(sim_runs())
 def test_compiled_loop_matches_run(run):
     ws, cfg = run
-    assert run_compiled(ws, cfg) == simulator._run(ws, cfg)
+    assert run_compiled(ws, cfg) == oracle._run(ws, cfg)
+
+
+LATENCY_PAIRS = [(100, 12), (10, 40)]
 
 
 def fixed_runs():
@@ -527,14 +527,40 @@ def fixed_runs():
     sort = WorkloadSpec("sort", (ThreadSpec(BucketSort(4, 2**31, 1)),))
     yield pytest.param([sort], toy_cfg(per_thread_event_budget=12, record_hit_miss=True),
                        id="buckets-past-the-budget")
+    # a triad and a bucket sort, alone and against each antagonist, with the
+    # memory latency above the controller's interval and below it
+    v = WorkloadSpec("victim", (ThreadSpec(StreamKernel("triad", 48), 0),
+                                ThreadSpec(BucketSort(40, 4, 2, seed=3), 4096)))
+    off = relocate(gen_offchip_antagonist(TOY, 3, array_bytes=2048, op_mix="readwrite"), 16384)
+    on = relocate(gen_onchip_antagonist(TOY, 3), 32768)
+    for mem_latency, interval in LATENCY_PAIRS:
+        cfg = toy_cfg(mem_latency=mem_latency, mc_service_interval=interval,
+                      per_thread_event_budget=700, record_hit_miss=True)
+        for label, ws in (("victim", [v]), ("victim-offchip", [v, off]),
+                          ("victim-onchip", [v, on])):
+            yield pytest.param(ws, cfg, id=f"{label}-{mem_latency}-{interval}")
 
 
 @needs_cc
 @pytest.mark.parametrize("ws, cfg", fixed_runs())
 def test_compiled_loop_matches_run_on_fixed_runs(ws, cfg):
-    raw = simulator._run(ws, cfg)
+    raw = oracle._run(ws, cfg)
     assert 0 < sum(raw["hits"]) < sum(raw["accesses"])
     assert run_compiled(ws, cfg) == raw
+
+
+@needs_cc
+@pytest.mark.parametrize("mem_latency, interval", LATENCY_PAIRS)
+def test_thrash_writes_back_every_eviction(mem_latency, interval):
+    cfg = toy_cfg(mem_latency=mem_latency, mc_service_interval=interval,
+                  per_thread_event_budget=700, record_hit_miss=True)
+    # two writers thrash one 4-way set with 16 lines: once it is full, every
+    # access evicts a dirty line, to the very end
+    thrash = WorkloadSpec("thrash", (ThreadSpec(StridedWalk(8192, 1024, "write"), 65536),
+                                     ThreadSpec(StridedWalk(8192, 1024, "write"), 73728)))
+    assert run_compiled([thrash], cfg) == oracle._run([thrash], cfg)
+    written_back = simulate([thrash], cfg).metrics("thrash").lines_written_back
+    assert written_back == 2 * 700 - TOY.associativity
 
 
 def warm_runs():
@@ -562,7 +588,7 @@ def warm_runs():
 def test_closed_form_matches_run(ws, budget, holds):
     cfg = toy_cfg(per_thread_event_budget=budget, record_hit_miss=True)
     raw, closed, _, _ = kernel_counts(ws, cfg)
-    assert raw == simulator._run(ws, cfg)
+    assert raw == oracle._run(ws, cfg)
     assert closed > 0 and holds(raw)
 
 
@@ -587,7 +613,7 @@ def cold_runs():
 def test_closed_form_waits_for_every_thread(ws, holds):
     cfg = toy_cfg(per_thread_event_budget=500, record_hit_miss=True)
     raw, closed, _, _ = kernel_counts(ws, cfg)
-    assert raw == simulator._run(ws, cfg)
+    assert raw == oracle._run(ws, cfg)
     assert closed == 0 and holds(raw)
 
 
@@ -630,7 +656,7 @@ def repeating_runs():
 @pytest.mark.parametrize("ws, cfg, holds", repeating_runs())
 def test_repeats_are_skipped(ws, cfg, holds):
     raw, _, skipped, _ = kernel_counts(ws, cfg)
-    assert raw == simulator._run(ws, cfg)
+    assert raw == oracle._run(ws, cfg)
     assert skipped > 0 and holds(raw)
 
 
@@ -662,7 +688,7 @@ def near_repeats():
 @pytest.mark.parametrize("ws, cfg", near_repeats())
 def test_sets_that_differ_are_not_a_repeat(ws, cfg):
     raw, _, skipped, _ = kernel_counts(ws, cfg)
-    assert raw == simulator._run(ws, cfg)
+    assert raw == oracle._run(ws, cfg)
     assert skipped == 0
 
 
@@ -707,7 +733,7 @@ def streak_runs():
 @pytest.mark.parametrize("ws, cfg, holds", streak_runs())
 def test_streaks_match_run(ws, cfg, holds):
     raw, closed, _, streaks = kernel_counts(ws, cfg)
-    assert raw == simulator._run(ws, cfg)
+    assert raw == oracle._run(ws, cfg)
     assert streaks > 0 and holds(raw, closed)
 
 
@@ -745,7 +771,7 @@ def test_walks_share_a_feed_only_when_it_is_no_longer(monkeypatch):
     w = WorkloadSpec("w", (ThreadSpec(walk),
                            ThreadSpec(replace(walk, start_offset=(1 << 19) * 32))))
     cfg = toy_cfg(per_thread_event_budget=16)
-    expected = simulator._run([w], cfg)
+    expected = oracle._run([w], cfg)
     built = count_feeds(monkeypatch)
     assert simulator._run_many([[w]], cfg) == [expected]
     assert [n for _, n in built] == [16, 16]
@@ -786,27 +812,6 @@ def test_line_feed_decodes_to_ops(pattern, line_shift, limit):
     assert decoded == expected
 
 
-@pytest.mark.parametrize("mem_latency, interval", [(100, 12), (10, 40)])
-def test_fallback_gives_identical_results(monkeypatch, mem_latency, interval):
-    v = WorkloadSpec("victim", (ThreadSpec(StreamKernel("triad", 48), 0),
-                                ThreadSpec(BucketSort(40, 4, 2, seed=3), 4096)))
-    off = relocate(gen_offchip_antagonist(TOY, 3, array_bytes=2048, op_mix="readwrite"), 16384)
-    on = relocate(gen_onchip_antagonist(TOY, 3), 32768)
-    cfg = toy_cfg(mem_latency=mem_latency, mc_service_interval=interval,
-                  per_thread_event_budget=700, record_hit_miss=True)
-    # two writers thrash one 4-way set with 16 lines: once it is full, every
-    # access evicts a dirty line, to the very end
-    thrash = WorkloadSpec("thrash", (ThreadSpec(StridedWalk(8192, 1024, "write"), 65536),
-                                     ThreadSpec(StridedWalk(8192, 1024, "write"), 73728)))
-    runs = ([v], [thrash], [v, off], [v, on])
-    compiled = [simulate(ws, cfg) for ws in runs]
-    assert compiled[1].metrics("thrash").lines_written_back == 2 * 700 - TOY.associativity
-    monkeypatch.setattr(simulator, "_simcore", lambda: None)
-    python = [simulate(ws, cfg) for ws in runs]
-    assert compiled == python
-    assert [r.hit_miss for r in compiled] == [r.hit_miss for r in python]
-
-
 def report_and_runs():
     """A toy report with three secondaries, one a seeded bucket sort, and a
     co-run of all four workloads."""
@@ -836,7 +841,8 @@ def test_results_do_not_depend_on_cpu_count(monkeypatch):
         for cpus in ({0}, set(range(8))):
             monkeypatch.setattr(simulator, "available_cpus", lambda cpus=cpus: cpus)
             results.append(all_results(cfg))
-        monkeypatch.setattr(simulator, "_simcore", lambda: None)
+        monkeypatch.setattr(simulator, "_run_compiled",
+                            lambda kernel, ws, cfg, feed_of: oracle._run(ws, cfg))
         results.append(all_results(cfg))
     finally:
         sys.setswitchinterval(interval)
@@ -914,20 +920,29 @@ def test_caller_takes_the_longest_run(monkeypatch):
 def test_one_cpu_or_no_compiler_starts_no_thread(monkeypatch, compiled):
     v, off, on, sort = report_and_runs()
     cfg = toy_cfg(per_thread_event_budget=300)
-    expected = interference_report(v, [off, on, sort], cfg)
     idents = []
     if compiled:
+        expected = interference_report(v, [off, on, sort], cfg)
         kernel = simulator._simcore()
         monkeypatch.setattr(simulator, "available_cpus", lambda: {0})
         monkeypatch.setattr(simulator, "_simcore", lambda: recording(kernel, idents))
     else:
+        def no_compiler():
+            raise _compiled.CompilerError("no C compiler (cc) found")
+
         monkeypatch.setattr(simulator, "available_cpus", lambda: set(range(8)))
-        monkeypatch.setattr(simulator, "_simcore", lambda: None)
-        monkeypatch.setattr(simulator, "_run", recording(simulator._run, idents))
+        monkeypatch.setattr(simulator, "_simcore", no_compiler)
+        monkeypatch.setattr(simulator, "_plan_feeds", recording(simulator._plan_feeds, idents))
     pins = record_pins(monkeypatch)
     threads = threading.active_count()
-    assert interference_report(v, [off, on, sort], cfg) == expected
-    assert idents and set(idents) == {threading.get_ident()}
+    if compiled:
+        assert interference_report(v, [off, on, sort], cfg) == expected
+        assert idents and set(idents) == {threading.get_ident()}
+    else:
+        # refused before any feed is built
+        with pytest.raises(_compiled.CompilerError, match="cc"):
+            interference_report(v, [off, on, sort], cfg)
+        assert idents == []
     assert pins == []
     assert threading.active_count() == threads
 
@@ -956,7 +971,7 @@ def test_runaway_plan_refused_before_any_feed(monkeypatch):
     def never(*args):
         raise AssertionError("a runaway plan reached a feed or a loop")
 
-    for name in ("_line_feed", "_run_compiled", "_run"):
+    for name in ("_line_feed", "_run_compiled"):
         monkeypatch.setattr(simulator, name, never)
     # 70 threads x 2**26 events, past 2**32; one shared pattern, 256 MiB of feed at most
     off = gen_offchip_antagonist(TOY, 70, array_bytes=2048)
